@@ -822,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs against the NumPy engine and degrades gracefully on mismatch",
     )
     p.add_argument("--native-tile", type=int, default=None, metavar="LANES",
-                   help="native backend: cache-block tile size (default: "
+                   help="native backend: lanes per tile slab (default: "
                    "REPRO_NATIVE_TILE, then the persisted autotuner choice)")
     p.add_argument("--native-threads", type=int, default=None, metavar="N",
                    help="native backend: OpenMP threads over lane tiles "
@@ -1016,7 +1016,7 @@ def main(argv: list[str] | None = None) -> int:
                    default="numpy")
     p.add_argument("--guard", choices=["off", "spot"], default="off")
     p.add_argument("--native-tile", type=int, default=None, metavar="LANES",
-                   help="native backend: cache-block tile size per executor")
+                   help="native backend: lanes per tile slab per executor")
     p.add_argument("--native-threads", type=int, default=None, metavar="N",
                    help="native backend: OpenMP threads per executor "
                    "(per shard with --shards; keep shards x threads within "

@@ -40,14 +40,14 @@ __all__ = [
 #: Recognised shapes of one ``mem[...]`` index expression, each capturing
 #: the compile-time address literal.  These are the exact templates of
 #: ``emit_c`` / ``emit_cuda`` / ``emit_bulk_c`` (sequential, column-wise,
-#: row-wise, native bulk column, native bulk row); anything else is an
-#: address the static trace cannot account for.
+#: row-wise, native bulk column slab, native bulk row slab); anything else
+#: is an address the static trace cannot account for.
 _ADDR_FORMS: Tuple[re.Pattern, ...] = (
     re.compile(r"^(\d+)$"),
     re.compile(r"^\(size_t\)(\d+) \* \(size_t\)p \+ \(size_t\)j$"),
     re.compile(r"^\(size_t\)j \* \d+ \+ (\d+)$"),
-    re.compile(r"^\(size_t\)(\d+) \* \(size_t\)P \+ \(size_t\)\(j0 \+ jj\)$"),
-    re.compile(r"^\(size_t\)\(j0 \+ jj\) \* \(size_t\)STRIDE \+ (\d+)$"),
+    re.compile(r"^(\d+) \* TILE \+ jj$"),
+    re.compile(r"^jj \* STRIDE \+ (\d+)$"),
 )
 
 _REGISTER = re.compile(r"\br\d+\b")

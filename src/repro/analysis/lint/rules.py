@@ -214,7 +214,10 @@ _CATALOG: Tuple[Rule, ...] = (
         "the spill slab intact.  A finding means some step of that proof "
         "failed — a dropped or duplicated instruction at a chunk boundary, "
         "a reordered chunk call, a spilled register lost across chunks, a "
-        "mis-zeroed slab, or a span cross-check disagreement — so the "
+        "mis-zeroed register slab, a slab whose words [k, WORDS) or absent "
+        "ragged-tile lanes are not zeroed before the chunks run, a gather "
+        "or scatter that misses words or runs on the wrong side of the "
+        "chunks, or a span cross-check disagreement — so the "
         "fast path computes something other than the program that was "
         "priced and verified.",
     ),
@@ -225,23 +228,25 @@ _CATALOG: Tuple[Rule, ...] = (
         "distinct tiles owning disjoint lane ranges whose writes cannot "
         "alias.  Overlapping tile bounds mean two OpenMP threads may store "
         "to the same physical addresses concurrently (a write-write race); "
-        "a gap means lanes are silently never computed; a register slab "
-        "shared between tiles is a race through the spill memory.  Any of "
+        "a gap means lanes are silently never computed; a gather or scatter "
+        "over more lanes than the tile owns touches another tile's rows; a "
+        "data or register slab shared between tiles is a race through "
+        "stack memory.  Any of "
         "these breaks the bit-identity contract with the NumPy engine "
         "nondeterministically — the worst kind of wrong.",
     ),
     Rule(
-        "OBL-S703", "padding-trace-divergence", Severity.ERROR,
-        "the padded physical address map diverges from the arrangement",
-        "The column kernel separates the physical lane stride P = p + pad "
-        "from the logical lane count; the row kernel uses the arrangement's "
-        "row stride.  Every emitted access must use exactly that affine "
-        "map, with P (or STRIDE) at least the logical lane count (or word "
-        "count) so the map is injective across lanes — the unique-"
-        "decomposition argument behind the race proof.  A finding means "
-        "the kernel indexes a different buffer geometry than the engine "
-        "allocates: lanes alias, padding is read as data, or stores land "
-        "in a neighbouring input's cells.",
+        "OBL-S703", "address-map-divergence", Severity.ERROR,
+        "an emitted index diverges from the arrangement's address map",
+        "The native kernel moves data through a tile-private slab whose "
+        "address map is the arrangement's map restricted to one tile: word "
+        "a of tile lane jj lives at a*TILE + jj (column) or jj*STRIDE + a "
+        "(row, with STRIDE at least the word count so the map is injective). "
+        "Every chunk access, the gather of input word a of lane j0 + jj, "
+        "and the scatter to output row j0 + jj must use exactly those maps, "
+        "with P, WORDS, STRIDE and SLAB equal to the geometry the engine "
+        "allocates.  A finding means lanes alias, a lane reads another "
+        "input's words, or results land in a neighbouring input's row.",
     ),
     Rule(
         "OBL-S704", "forwarding-past-store", Severity.ERROR,

@@ -14,8 +14,8 @@ give it:
   churn.  Closed executors return their buffer here; the next executor
   with the same geometry reuses it.
 
-Buffers are pooled by exact physical geometry ``(words, lanes, dtype)``
-(``lanes`` includes any lane padding), zeroed on acquisition so a recycled
+Buffers are pooled by exact geometry ``(words, lanes, dtype)``, zeroed
+on acquisition so a recycled
 buffer is indistinguishable from a fresh one, and capped in total pooled
 bytes by ``REPRO_ARENA_MAX_BYTES`` (default 512 MiB; ``0`` disables
 pooling entirely while keeping the aligned allocation).

@@ -13,8 +13,8 @@ modes:
   pattern real GPU kernels use).
 
 It is also home to the **native kernel autotuner**: the tiled native
-backend has two free parameters — cache-block tile size and OpenMP thread
-count — whose optimum depends on the host's cache hierarchy and core
+backend has two free parameters — the lanes per tile slab and the OpenMP
+thread count — whose optimum depends on the host's cache hierarchy and core
 count, not on the program's semantics (any choice is bit-identical).
 :func:`autotune_native` measures the candidate grid on the real compiled
 kernels and persists the winner next to the kernel cache, content-addressed
@@ -130,12 +130,17 @@ def best_arrangement_measured(
 # -- native kernel autotuning (tile × threads) ------------------------------
 
 _TUNING_FORMAT = "repro-autotune"
-_TUNING_VERSION = 1
+#: Version 2: ``tile`` sizes a per-tile stack slab (``memory_words x tile``
+#: words).  Version-1 entries sized lane blocks of an arranged buffer
+#: (128-512 lanes) and would now overflow the slab budget, so they load as
+#: stale.
+_TUNING_VERSION = 2
 
 #: Candidate tile sizes, bracketing the library default: small enough that
-#: tile columns of the working rows stay L1-resident, large enough that
-#: per-tile overhead (register slab zeroing, chunk-call fan-out) amortises.
-_DEFAULT_TILES = (128, 256, 384, 512)
+#: a tile's slab stays cache-resident, large enough that every lane loop
+#: fills a vector and per-tile overhead (slab zeroing, chunk-call fan-out)
+#: amortises.  Candidates whose slab exceeds the stack budget are skipped.
+_DEFAULT_TILES = (4, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,8 @@ def load_tuning(program: Program, arrangement) -> Optional[NativeTuning]:
     present but unusable is different: a torn/stale-format entry, a
     ``(tile, threads)`` that no longer parses as a positive shape, or a
     shape exceeding the operator's ``REPRO_NATIVE_TILE``/``THREADS`` env
-    caps is *rejected* with a ``stale-autotune`` incident — applying it
+    caps or the kernel's slab budget is *rejected* with a
+    ``stale-autotune`` incident — applying it
     silently would override an explicit operator decision (or run a shape
     nobody chose), and the defaults are always safe.
     """
@@ -251,6 +257,14 @@ def load_tuning(program: Program, arrangement) -> Optional[NativeTuning]:
             f"positive shape"
         )
         return None
+    from ..codegen.compile import SLAB_BUDGET_BYTES, slab_bytes
+
+    if slab_bytes(program, arrangement, tuning.tile) > SLAB_BUDGET_BYTES:
+        stale(
+            f"tile={tuning.tile} needs a stack slab over the "
+            f"{SLAB_BUDGET_BYTES // 1024} KiB budget"
+        )
+        return None
     try:
         from .engine import ENV_NATIVE_THREADS, ENV_NATIVE_TILE, _env_knob
 
@@ -297,7 +311,9 @@ def autotune_native(
     the fix pipeline uses, with measurement as the canary and persistence
     as the promotion.  An uncertified shape is never measured, let alone
     persisted: each refusal records an ``uncertified-schedule`` incident,
-    and if *no* shape certifies the whole tune raises.
+    and if *no* shape certifies the whole tune raises.  Tiles whose slab
+    exceeds the kernel's stack budget
+    (:data:`~repro.codegen.compile.SLAB_BUDGET_BYTES`) are dropped first.
 
     Compiles one native kernel per surviving candidate (all
     content-cached, so a re-tune after the first is pure measurement),
@@ -307,14 +323,22 @@ def autotune_native(
     :func:`tuning_path` — atomically, next to the kernel cache it belongs
     with.
     """
-    from ..codegen.compile import have_compiler
+    from ..codegen.compile import SLAB_BUDGET_BYTES, have_compiler, slab_bytes
 
     if not have_compiler():
         raise ExecutionError("autotuning the native backend needs a C compiler")
     if trials < 1:
         raise ExecutionError(f"trials must be >= 1, got {trials}")
+    geometry = _arrangement_of(program, p, arrangement)
+    tiles = [
+        int(t) for t in tiles
+        if slab_bytes(program, geometry, t) <= SLAB_BUDGET_BYTES
+    ]
     if not tiles:
-        raise ExecutionError("no candidate tile sizes")
+        raise ExecutionError(
+            f"no candidate tile size fits the "
+            f"{SLAB_BUDGET_BYTES // 1024} KiB slab budget for {program.name}"
+        )
     thread_candidates = (
         tuple(threads) if threads is not None else _default_thread_candidates()
     )
@@ -331,7 +355,7 @@ def autotune_native(
             program,
             arrangement=str(arrangement),
             p=p,
-            tiles=[int(t) for t in tiles],
+            tiles=tiles,
             threads=thread_candidates,
         ):
             verdict = verify_tile_shape(proposal)
@@ -416,13 +440,11 @@ def autotune_native(
         threads=int(threads_s),
         seconds=scores[winner],
         scores=scores,
-        fingerprint=tuning_fingerprint(
-            program, _arrangement_of(program, p, arrangement)
-        ),
+        fingerprint=tuning_fingerprint(program, geometry),
         host_cpus=os.cpu_count() or 1,
     )
     if persist:
-        path = tuning_path(program, _arrangement_of(program, p, arrangement))
+        path = tuning_path(program, geometry)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
         tmp.write_text(json.dumps(tuning.as_dict(), indent=2, sort_keys=True))

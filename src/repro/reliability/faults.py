@@ -34,7 +34,7 @@ Sites currently instrumented (see docs/MODEL.md "Reliability"):
 ``engine.native.run``     before the native kernel runs (``raise`` simulates
                           a kernel crash)
 ``engine.native.outputs`` after the native kernel ran (``corrupt`` flips the
-                          arranged buffer so the guard's spot-check must
+                          output image so the guard's spot-check must
                           catch it)
 ``harness.cell``          before each sweep cell is measured (``raise``
                           simulates a crash/Ctrl-C mid-sweep)

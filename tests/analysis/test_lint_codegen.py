@@ -39,8 +39,8 @@ class TestExtractAccesses:
         src = (
             "r0 = mem[(size_t)5 * (size_t)p + (size_t)j];\n"
             "mem[(size_t)j * 16 + 7] = r0;\n"
-            "r1 = mem[(size_t)2 * (size_t)P + (size_t)(j0 + jj)];\n"
-            "mem[(size_t)(j0 + jj) * (size_t)STRIDE + 9] = r1;\n"
+            "r1 = mem[2 * TILE + jj];\n"
+            "mem[jj * STRIDE + 9] = r1;\n"
         )
         assert [(k, a) for k, a, _, _ in extract_accesses(src)] == \
             [("R", 5), ("W", 7), ("R", 2), ("W", 9)]

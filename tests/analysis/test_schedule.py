@@ -213,7 +213,7 @@ class TestLintIntegration:
 
 class TestEmitterHeader:
     def test_header_claim_is_cross_checked(self):
-        # A source whose schedule header lies about the pad must be
+        # A source whose schedule header lies about the geometry must be
         # rejected even when the defines happen to be self-consistent.
         prog = _program()
         config = schedule_config(
@@ -221,9 +221,14 @@ class TestEmitterHeader:
         )
         source = emit_bulk_c(
             prog, "column", p=32, stride=0, chunk=config.chunk,
-            tile=8, pad=config.pad, threads=1, simd=False,
+            tile=8, threads=1, simd=False,
         )
         assert "/* schedule: layout=column" in source
         diags, _, proof = certify_bulk_schedule(prog, source, config)
         assert _errors(diags) == []
         assert proof.certified
+        lying = source.replace(" words=4 ", " words=5 ", 1)
+        assert lying != source
+        diags, _, proof = certify_bulk_schedule(prog, lying, config)
+        assert [d.rule_id for d in _errors(diags)] == ["OBL-S703"]
+        assert not proof.certified

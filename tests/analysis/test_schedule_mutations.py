@@ -7,7 +7,12 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * overlapping tile bounds (a cross-thread write race)      -> ``OBL-S702``
 * a thread-count-dependent tile loop (lanes dropped)       -> ``OBL-S702``
 * a shared (hoisted) register slab                         -> ``OBL-S702``
-* the lane pad dropped from the physical stride            -> ``OBL-S703``
+* a shared (hoisted) data slab                             -> ``OBL-S702``
+* a gather that reads another lane's input row             -> ``OBL-S703``
+* a scatter that writes another lane's output row          -> ``OBL-S703``
+* a scatter over the whole tile, past a ragged tile's lanes -> ``OBL-S702``
+* the slab's words ``[k, WORDS)`` left unzeroed            -> ``OBL-S701``
+* a ragged tile's absent lanes left unzeroed               -> ``OBL-S701``
 * forwarding past an aliasing store                        -> ``OBL-S704``
 * an off-by-one chunk boundary (dropped / duplicated work) -> ``OBL-S701``
 * chunk calls reordered in the driver                      -> ``OBL-S701``
@@ -63,7 +68,6 @@ def _emit(program, *, chunk=None, threads=THREADS):
         stride=config.stride,
         chunk=config.chunk,
         tile=config.tile,
-        pad=config.pad,
         threads=config.threads,
         simd=False,
         forward=config.forward,
@@ -98,7 +102,7 @@ class TestSeededScheduleBugs:
 
     def test_thread_count_dependent_trace_drops_lanes(self, clean):
         program, source, config = clean
-        mutated = _mutate(source, "j0 < PLOGICAL;", "j0 < PLOGICAL / THREADS;")
+        mutated = _mutate(source, "j0 < P;", "j0 < P / THREADS;")
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         hits = [d for d in diags if d.rule_id == "OBL-S702"]
         assert hits, "dropped lanes must be OBL-S702"
@@ -110,20 +114,86 @@ class TestSeededScheduleBugs:
         # for all OpenMP threads.
         mutated = _mutate(
             source,
-            "    for (long j0 = 0; j0 < PLOGICAL; j0 += TILE) {\n"
+            "    for (long j0 = 0; j0 < P; j0 += TILE) {\n"
+            "        int64_t slab[SLAB];\n"
             "        int64_t regs[NREGS * TILE];\n",
             "    int64_t regs[NREGS * TILE];\n"
-            "    for (long j0 = 0; j0 < PLOGICAL; j0 += TILE) {\n",
+            "    for (long j0 = 0; j0 < P; j0 += TILE) {\n"
+            "        int64_t slab[SLAB];\n",
         )
         rules = _rules(program, mutated, config)
         assert "OBL-S702" in rules
 
-    def test_dropped_lane_pad_diverges_the_trace(self, clean):
+    def test_data_slab_shared_across_threads_is_a_race(self, clean):
         program, source, config = clean
-        assert config.pad == 8
-        mutated = _mutate(source, f"#define P {P + 8}L", f"#define P {P}L")
+        # One data slab for every OpenMP thread: tiles gather into and
+        # scatter from the same stack words concurrently.
+        mutated = _mutate(
+            source,
+            "    for (long j0 = 0; j0 < P; j0 += TILE) {\n"
+            "        int64_t slab[SLAB];\n",
+            "    int64_t slab[SLAB];\n"
+            "    for (long j0 = 0; j0 < P; j0 += TILE) {\n",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S702" and "data slab" in d.message for d in diags
+        )
+
+    def test_gather_reads_the_wrong_lane(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source, "= in[(j0 + jj) * k + a];", "= in[(j0 + jj + 1) * k + a];"
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S703" and "input gather" in d.message
+            for d in diags
+        )
+
+    def test_scatter_writes_the_wrong_row(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source, "out[(j0 + jj) * WORDS + a]", "out[(j0 + TILE - 1 - jj) * WORDS + a]"
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S703" and "output scatter" in d.message
+            for d in diags
+        )
+
+    def test_scatter_past_a_ragged_tile(self, clean):
+        program, source, config = clean
+        head, sep, tail = source.rpartition("for (long jj = 0; jj < len; ++jj)")
+        mutated = head + "for (long jj = 0; jj < TILE; ++jj)" + tail
+        assert sep and "out[" in tail
         rules = _rules(program, mutated, config)
-        assert "OBL-S703" in rules
+        assert "OBL-S702" in rules
+
+    def test_slab_tail_not_zeroed(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source,
+            "        for (long a = k; a < WORDS; ++a)\n"
+            "            for (long jj = 0; jj < TILE; ++jj)\n"
+            "                slab[a * TILE + jj] = 0;\n",
+            "",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S701" and "[k, WORDS)" in d.message
+            for d in diags
+        )
+
+    def test_ragged_lanes_not_zeroed(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source,
+            "        if (len < TILE) for (long i = 0; i < SLAB; ++i) slab[i] = 0;\n",
+            "",
+        )
+        rules = _rules(program, mutated, config)
+        assert "OBL-S701" in rules
 
     def test_forwarding_past_an_aliasing_store(self, clean):
         program, source, config = clean
@@ -140,12 +210,12 @@ class TestSeededScheduleBugs:
         assert "chunk_1" in source
         # Duplicate chunk_0's store into chunk_1: the instruction runs
         # twice at the boundary (surplus emitted work).
-        store = "mem[(size_t)0 * (size_t)P + (size_t)(j0 + jj)] = r1;"
+        store = "mem[0 * TILE + jj] = r1;"
         head, _, tail = source.partition("static void chunk_1(")
         mutated_tail = _mutate(
             tail,
-            "for (long jj = 0; jj < len; ++jj) {\n",
-            "for (long jj = 0; jj < len; ++jj) {\n"
+            "for (long jj = 0; jj < TILE; ++jj) {\n",
+            "for (long jj = 0; jj < TILE; ++jj) {\n"
             f"        {store}\n",
         )
         rules = _rules(program, head + "static void chunk_1(" + mutated_tail,
@@ -167,10 +237,10 @@ class TestSeededScheduleBugs:
         source, config = _emit(program, chunk=2)
         mutated = _mutate(
             source,
-            "        chunk_0(mem, regs, j0, len);\n"
-            "        chunk_1(mem, regs, j0, len);\n",
-            "        chunk_1(mem, regs, j0, len);\n"
-            "        chunk_0(mem, regs, j0, len);\n",
+            "        chunk_0(slab, regs);\n"
+            "        chunk_1(slab, regs);\n",
+            "        chunk_1(slab, regs);\n"
+            "        chunk_0(slab, regs);\n",
         )
         rules = _rules(program, mutated, config)
         assert "OBL-S701" in rules
