@@ -37,6 +37,7 @@ __all__ = [
     "ObliviousnessError",
     "ArrangementError",
     "ExecutionError",
+    "SlabBudgetError",
     "WorkloadError",
     "BackendError",
     "CompileError",
@@ -142,6 +143,14 @@ class ArrangementError(ReproError, ValueError):
 
 class ExecutionError(ReproError, RuntimeError):
     """A bulk or sequential execution failed at run time."""
+
+
+class SlabBudgetError(ExecutionError):
+    """A native tile's stack slabs exceed the budget.
+
+    A caller error: an executor raises it even where other native
+    failures degrade to NumPy.
+    """
 
 
 class WorkloadError(ReproError, ValueError):
