@@ -6,22 +6,26 @@ same oblivious algorithm as one column-wise bulk execution.  This package
 is the bridge from *requests* to *batches*:
 
 * :class:`BulkServer` — asyncio request broker: ``await submit(workload,
-  x)`` coalesces live requests per ``(workload, n)`` queue into bulk runs;
+  x)`` coalesces live requests per ``(workload, n)`` queue into bulk runs
+  on a worker-thread pool.  It is also the one broker core (queues,
+  admission and backpressure, linger, completion, shutdown, ``stats()``)
+  that every placement shares;
 * :class:`ServeConfig` — batching/backpressure/backend knobs;
+* :class:`ShardedServer` / :class:`ShardConfig` — the same broker placed
+  on ``N`` shard processes: cost-routed placement, request payloads in
+  :mod:`~repro.serve.shm` shared-memory slot arenas, only primitive
+  descriptors (:mod:`~repro.serve.wire`) on the work queues and on each
+  shard's own completion pipe;
+* :class:`ShardSupervisor` — self-healing (``supervise=True``): heartbeat
+  wedge detection, respawn with backoff, per-shard circuit breaker, and
+  cost-model autoscaling between ``min_shards`` and ``max_shards``;
 * :mod:`~repro.serve.policy` — dispatch policies, including the
   cost-model-driven :class:`AdaptivePolicy` that prices candidate batches
   in UMM time units before committing;
-* :mod:`~repro.serve.metrics` — counters/histograms behind
-  :meth:`BulkServer.stats`;
-* :mod:`~repro.serve.loadgen` — open/closed-loop load generation for the
-  ``repro serve --bench`` CLI and the serving benchmarks;
-* :class:`ShardedServer` / :class:`ShardConfig` — the multi-process tier:
-  a cost-routed front end over ``N`` shard processes, request payloads in
-  :mod:`~repro.serve.shm` shared-memory slot arenas, only primitive
-  descriptors (:mod:`~repro.serve.wire`) on the control queues;
-* :class:`ShardSupervisor` — self-healing (``supervise=True``): heartbeat
-  wedge detection, respawn with backoff, per-shard circuit breaker, and
-  cost-model autoscaling between ``min_shards`` and ``max_shards``.
+* :mod:`~repro.serve.metrics` — counters/histograms behind ``stats()``;
+* :mod:`~repro.serve.loadgen` — open/closed-loop load generation against
+  either placement, for the ``repro serve --bench`` CLI and the serving
+  benchmarks.
 
 See docs/SERVING.md for the architecture and the knob glossary.
 """

@@ -1,4 +1,7 @@
-"""Self-driving load generation against an in-process :class:`BulkServer`.
+"""Self-driving load generation against a :class:`BulkServer`.
+
+Either placement works: :class:`~repro.serve.router.ShardedServer` is a
+``BulkServer`` with the same ``submit``/``stats`` contract.
 
 Two canonical load shapes, both textbook serving methodology:
 

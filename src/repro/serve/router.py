@@ -17,11 +17,17 @@ strict separation of planes:
   An ndarray is never pickled per request — a test asserts the wire can't
   even carry one.
 * **Control plane** — only compact primitive-tuple descriptors
-  (:mod:`repro.serve.wire`) cross the ``multiprocessing`` queues:
-  ``("batch", seq, key, slot, lanes, occupancy, width)`` and friends.
+  (:mod:`repro.serve.wire`) cross the process boundary:
+  ``("batch", seq, key, slot, lanes, occupancy, width)`` and friends go
+  down a per-shard work queue, and each shard answers on its *own*
+  one-way completion pipe, so a worker killed mid-write can only tear its
+  own channel.
 
-Scheduling is the cost model's job twice over.  *When* to dispatch is the
-same adaptive-policy linger as :class:`BulkServer` (per-request price
+:class:`ShardedServer` *is* a :class:`BulkServer`: one broker core owns
+the queues, admission and backpressure, the linger loop, completion
+bookkeeping, shutdown and ``stats()``, and this module adds only the
+fleet placement.  Scheduling is the cost model's job twice over.  *When*
+to dispatch is the inherited adaptive-policy linger (per-request price
 ``t·(⌈b/w⌉+l−1)/b`` falls with batch size).  *Where* is new: admission
 prices every live shard with
 :func:`~repro.machine.analytic.placement_units` — queued backlog plus the
@@ -30,11 +36,11 @@ simultaneously load balancing and completion-time minimisation.  Because
 every shard is a full replica (same programs, own guarded executors), any
 placement is bit-identical, so chasing the cheapest shard is free.
 
-Failure model: a shard that dies (detected by the reader thread's
-liveness sweep, or a ``fatal`` farewell) has its in-flight descriptors
-**re-dispatched at most once** to surviving shards — request rows are
-retained router-side precisely so a dead shard's memory never needs to be
-trusted.  A descriptor whose re-dispatch budget is spent (or with no live
+Failure model: a shard that dies (seen the moment its process sentinel
+fires in the reader thread's wait, or by a ``fatal`` farewell) has its
+in-flight descriptors **re-dispatched at most once** to surviving shards
+— request rows are retained router-side precisely so a dead shard's
+memory never needs to be trusted.  A descriptor whose re-dispatch budget is spent (or with no live
 shard left) fails with :class:`~repro.errors.ShardDeadError`; nothing is
 silently lost and nothing is completed twice (stale completions from a
 declared-dead shard are recognised by shard id and dropped).
@@ -60,18 +66,17 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
-import queue as queue_module
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing import connection
 from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..algorithms.registry import get_spec
 from ..errors import (
-    ExecutionError,
     RequestDeadlineError,
     ServeError,
     ServerClosedError,
@@ -80,13 +85,11 @@ from ..errors import (
     ShardError,
 )
 from ..machine.analytic import placement_units
-from ..reliability.incidents import incident_summary, record_incident
+from ..reliability.incidents import record_incident
 from ..trace.ir import Program
 from ..trace.serialize import program_to_dict
 from . import wire
-from .metrics import MetricsRegistry
-from .policy import make_policy, round_up_warp
-from .server import ServeConfig
+from .server import BulkServer, ServeConfig, _Queue, _Request
 from .shard import FAULT_KINDS, shard_main
 from .shm import SlotArena
 
@@ -240,29 +243,6 @@ class ShardConfig(ServeConfig):
 
 
 @dataclass
-class _Request:
-    row: np.ndarray
-    future: "asyncio.Future"
-    enqueued: float
-    deadline: Optional[float]
-
-
-@dataclass
-class _KeyState:
-    """One queue key: its program, how to rebuild it shard-side, its queue."""
-
-    key: str
-    program: Program
-    source: str          # "registry" | "ir"
-    payload: str         # registry name, or the program's JSON document
-    n: int               # problem size (0 for IR-shipped programs)
-    requests: Deque[_Request] = field(default_factory=deque)
-    wake: "asyncio.Event" = field(default_factory=asyncio.Event)
-    task: Optional["asyncio.Task"] = None
-    overloaded: bool = False
-
-
-@dataclass
 class _Shard:
     """Router-side book-keeping for one worker process.
 
@@ -276,6 +256,7 @@ class _Shard:
     id: int
     process: "multiprocessing.process.BaseProcess"
     work: "multiprocessing.queues.Queue"
+    done: connection.Connection          # read end of its completion pipe
     alive: bool = True
     ready: bool = False
     backlog: float = 0.0                 # queued work, in UMM time units
@@ -317,41 +298,31 @@ class _Flight:
     dispatched_at: float = 0.0     # monotonic put time (flight-timeout base)
 
 
-class ShardedServer:
+class ShardedServer(BulkServer):
     """Hash-free cost-routed front end over ``N`` shard processes.
 
-    Drop-in for :class:`~repro.serve.server.BulkServer`::
+    Drop-in for :class:`~repro.serve.server.BulkServer`, whose broker core
+    it inherits (queues, admission, linger, completion, shutdown,
+    ``stats()``); only the placement is new::
 
         async with ShardedServer(shards=4) as server:
             out = await server.submit("opt", weights, n=8)
-
-    The loadgen helpers (:mod:`repro.serve.loadgen`) duck-type against
-    ``submit``/``stats`` and work unchanged.
     """
 
+    config_class = ShardConfig
+
     def __init__(self, config: Optional[ShardConfig] = None, **overrides) -> None:
-        if config is None:
-            config = ShardConfig(**overrides)
-        elif overrides:
-            raise ServeError("pass either a ShardConfig or keyword overrides")
-        self.config = config
-        self.policy = make_policy(
-            config.policy, w=config.warp, l=config.latency,
-            speedup=config.lane_speedup(),
-        )
-        self.metrics = MetricsRegistry()
-        #: ``(queue key, input row, output row)`` triples when recording.
-        self.served: List[Tuple[str, np.ndarray, np.ndarray]] = []
-        self._programs: Dict[str, Program] = {}
-        self._keys: Dict[str, _KeyState] = {}
+        super().__init__(config, **overrides)
         self._shards: List[_Shard] = []
         self._inflight: Dict[int, _Flight] = {}
         self._aux_tasks: Set["asyncio.Task"] = set()
+        #: Per key, how shards rebuild its program: serialised once.
+        self._shipped: Dict[str, Tuple[str, str, int]] = {}
         self._seq = 0
         self._ctx = None
-        self._done_queue = None
         self._reader: Optional[threading.Thread] = None
         self._reader_stop = threading.Event()
+        self._wake_r = self._wake_w = -1     # pipe that interrupts the reader
         self._death_reported: Set[int] = set()
         self._loop: Optional["asyncio.AbstractEventLoop"] = None
         self._slot_released: Optional["asyncio.Event"] = None
@@ -359,12 +330,10 @@ class ShardedServer:
         self._supervisor = None
         self._unit_seconds: Optional[float] = None   # EWMA s per backlog unit
         self._started = False
-        self._closing = False
-        self._stopped = False
 
     # -- startup -------------------------------------------------------------
     def _ensure_started(self) -> None:
-        if self._started:
+        if self._started or self._closing:
             return
         cfg = self.config
         self._loop = asyncio.get_running_loop()
@@ -384,9 +353,10 @@ class ShardedServer:
         except Exception:  # pragma: no cover - platform without tracker
             pass
         self._ctx = multiprocessing.get_context(cfg.start_method)
-        self._done_queue = self._ctx.Queue()
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
         for shard_id in range(cfg.shards):
-            self._shards.append(self._launch(shard_id))
+            self._launch(shard_id)
         self._reader = threading.Thread(
             target=self._reader_main, name="repro-shard-reader", daemon=True
         )
@@ -399,14 +369,18 @@ class ShardedServer:
         self._started = True
 
     def _launch(self, shard_id: int, *, respawn: bool = False) -> _Shard:
+        """Start a worker for ``shard_id`` and install it in the fleet."""
         cfg = self.config
         work = self._ctx.Queue()
+        # Each worker owns its completion pipe: one killed mid-write can
+        # tear only its own channel, never a sibling's.
+        done, done_writer = self._ctx.Pipe(duplex=False)
         fault_spec = None
         if not respawn and cfg.fault is not None and cfg.fault[1] == shard_id:
             fault_spec = (cfg.fault[0], cfg.fault[2])
         process = self._ctx.Process(
             target=shard_main,
-            args=(shard_id, work, self._done_queue),
+            args=(shard_id, work, done_writer),
             kwargs=dict(
                 backend=cfg.backend,
                 fuse=cfg.fuse,
@@ -421,29 +395,79 @@ class ShardedServer:
             daemon=True,
         )
         process.start()
-        return _Shard(id=shard_id, process=process, work=work)
+        done_writer.close()   # the worker holds the only write end
+        shard = _Shard(id=shard_id, process=process, work=work, done=done)
+        if shard_id < len(self._shards):
+            self._shards[shard_id] = shard
+        else:
+            self._shards.append(shard)
+        self._wake_reader()   # so the reader watches the new worker
+        return shard
 
-    # -- reader thread (mp queue → event loop) -------------------------------
+    # -- reader thread (completion pipes → event loop) -----------------------
     def _reader_main(self) -> None:
-        while not self._reader_stop.is_set():
+        """Forward every shard's messages and death to the event loop.
+
+        Blocks on each shard's completion pipe, each live worker's process
+        sentinel (readable the moment it exits) and the wake pipe that
+        :meth:`_launch` and :meth:`stop` write to.  The reader owns the
+        pipes' read ends and closes each at its end-of-file.
+        """
+        channels: Set[connection.Connection] = set()
+        try:
+            while not self._reader_stop.is_set():
+                sentinels: Dict[int, _Shard] = {}
+                for shard in list(self._shards):
+                    if not shard.done.closed:
+                        channels.add(shard.done)
+                    if shard.alive and shard.id not in self._death_reported:
+                        sentinels[shard.process.sentinel] = shard
+                try:
+                    ready = connection.wait(
+                        [self._wake_r, *channels, *sentinels]
+                    )
+                except (OSError, ValueError):  # pragma: no cover - fd torn down
+                    continue
+                for handle in ready:
+                    if handle in channels:
+                        self._drain_channel(channels, handle)
+                for handle in ready:
+                    shard = sentinels.get(handle)
+                    if shard is not None:
+                        # Everything the worker sent before exiting lands
+                        # before its death does.
+                        self._drain_channel(channels, shard.done)
+                        self._death_reported.add(shard.id)
+                        self._post(self._on_shard_death, shard.id)
+                if self._wake_r in ready:
+                    os.read(self._wake_r, 4096)
+        finally:
+            for conn in channels:
+                conn.close()
+
+    def _drain_channel(self, channels: Set[connection.Connection],
+                       conn: connection.Connection) -> None:
+        """Post every message waiting on ``conn``; drop it at end-of-file."""
+        if conn not in channels:
+            return
+        while True:
             try:
-                msg = self._done_queue.get(timeout=0.05)
-            except queue_module.Empty:
-                self._sweep_liveness()
-                continue
-            except (OSError, ValueError):  # pragma: no cover - queue torn down
+                if not conn.poll():
+                    return
+                msg = conn.recv()
+            except Exception:
+                # End of file, or a frame torn by a writer that died
+                # mid-send: the channel is finished either way.
+                channels.discard(conn)
+                conn.close()
                 return
             self._post(self._on_message, msg)
 
-    def _sweep_liveness(self) -> None:
-        for shard in self._shards:
-            if (
-                shard.alive
-                and shard.id not in self._death_reported
-                and not shard.process.is_alive()
-            ):
-                self._death_reported.add(shard.id)
-                self._post(self._on_shard_death, shard.id)
+    def _wake_reader(self) -> None:
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # pragma: no cover - a wake is already pending
+            pass
 
     def _post(self, callback, *args) -> None:
         try:
@@ -565,47 +589,30 @@ class ShardedServer:
         shard.batches += 1
         shard.backends.add(backend)
         m = self.metrics
-        m.counter("batches.dispatched").inc()
-        m.counter("requests.completed").inc(flight.occupancy)
-        m.counter("lanes.padded").inc(flight.lanes - flight.occupancy)
-        m.histogram("batch.size").observe(flight.occupancy)
-        m.histogram("batch.occupancy").observe(flight.occupancy / flight.lanes)
-        m.histogram("batch.execute_seconds").observe(elapsed)
         m.histogram(f"shard.{shard_id}.batch_seconds").observe(elapsed)
         m.histogram(f"shard.{shard_id}.occupancy").observe(
             flight.occupancy / flight.lanes
         )
         m.histogram(f"shard.{shard_id}.predicted_units_per_request").observe(units)
-        state = self._keys.get(flight.key)
-        if state is not None:
-            state.overloaded = False
-        now = time.monotonic()
-        for request, output in zip(flight.requests, outputs):
-            if self.config.record:
-                self.served.append((flight.key, request.row.copy(), output.copy()))
-            if not request.future.done():
-                request.future.set_result(output)
-            m.histogram("request.latency_seconds").observe(now - request.enqueued)
-            m.histogram(f"shard.{shard_id}.request_latency_seconds").observe(
-                now - request.enqueued
-            )
+        now = self._complete(
+            self._queues[flight.key], flight.requests, outputs, flight.lanes,
+            elapsed,
+        )
+        latency = m.histogram(f"shard.{shard_id}.request_latency_seconds")
+        for request in flight.requests:
+            latency.observe(now - request.enqueued)
 
     def _on_error(self, shard_id: int, seq: int, slot: int, message: str) -> None:
         flight = self._claim(shard_id, seq)
         if flight is None:
             return
         self._release(self._shards[shard_id], flight)
-        self.metrics.counter("requests.failed").inc(flight.occupancy)
         record_incident(
             "batch-failure", "serve.shard",
             f"batch of {flight.occupancy} on {flight.key} failed on shard "
             f"{shard_id}: {message}",
         )
-        for request in flight.requests:
-            if not request.future.done():
-                request.future.set_exception(
-                    ServeError(f"batch execution failed: {message}")
-                )
+        self._fail(flight.requests, ServeError(f"batch execution failed: {message}"))
 
     def _release(self, shard: _Shard, flight: _Flight) -> None:
         if shard.alive:
@@ -657,10 +664,7 @@ class ShardedServer:
             self._idle.set()
 
     def _fail_flight(self, flight: _Flight, exc: Exception) -> None:
-        self.metrics.counter("requests.failed").inc(len(flight.requests))
-        for request in flight.requests:
-            if not request.future.done():
-                request.future.set_exception(exc)
+        self._fail(flight.requests, exc)
         if not self._inflight:
             self._idle.set()
 
@@ -686,10 +690,9 @@ class ShardedServer:
         if not live:
             return
         self.metrics.counter("requests.redispatched").inc(len(live))
-        state = self._keys[flight.key]
         try:
             await self._dispatch(
-                state, live, flight.first_enqueued,
+                self._queues[flight.key], live, flight.first_enqueued,
                 attempts=flight.attempts + 1,
             )
         except ServeError as exc:
@@ -723,7 +726,6 @@ class ShardedServer:
         shard.restarts = old.restarts
         shard.restarts.append(time.monotonic())
         shard.respawns = old.respawns + 1
-        self._shards[shard_id] = shard
         self.metrics.counter("shards.respawns").inc()
         record_incident(
             "shard-respawn", "serve.supervisor",
@@ -747,7 +749,6 @@ class ShardedServer:
     def _scale_up(self) -> _Shard:
         """Autoscaler: add a fresh shard at the next id."""
         shard = self._launch(len(self._shards))
-        self._shards.append(shard)
         self.metrics.counter("shards.scale_ups").inc()
         self._slot_released.set()
         return shard
@@ -781,9 +782,9 @@ class ShardedServer:
 
         Cheapest live backlog × the observed seconds-per-unit EWMA — i.e.
         the analytic estimate of when the least-loaded shard drains —
-        floored at one linger window.
+        floored at the broker's one-linger-window hint.
         """
-        floor = max(self.config.max_linger, 1e-3)
+        floor = super()._retry_after()
         if self._unit_seconds is None:
             return floor
         backlog = min(
@@ -792,52 +793,7 @@ class ShardedServer:
         )
         return max(floor, backlog * self._unit_seconds)
 
-    # -- resolution & submission ---------------------------------------------
-    def register(self, name: str, program: Program) -> None:
-        """Serve a custom :class:`Program` under queue key ``name``."""
-        if self._closing:
-            raise ServerClosedError("server is stopped")
-        self._programs[name] = program
-
-    def _resolve(self, workload: Union[str, Program],
-                 n: Optional[int]) -> _KeyState:
-        if isinstance(workload, Program):
-            return self._key_state(
-                f"program:{workload.name}", workload, "ir",
-                json.dumps(program_to_dict(workload)), 0,
-            )
-        name = workload
-        if n is None and ":" in name:
-            name, _, suffix = name.partition(":")
-            n = int(suffix)
-        if n is None:
-            program = self._programs.get(name)
-            if program is None:
-                raise ServeError(
-                    f"workload {workload!r} is not registered and carries no "
-                    f"problem size; use submit(name, x, n=...) or register()"
-                )
-            return self._key_state(
-                name, program, "ir", json.dumps(program_to_dict(program)), 0
-            )
-        key = f"{name}:{n}"
-        state = self._keys.get(key)
-        if state is not None:
-            return state
-        return self._key_state(key, get_spec(name).build(n), "registry", name, n)
-
-    def _key_state(self, key: str, program: Program, source: str,
-                   payload: str, n: int) -> _KeyState:
-        state = self._keys.get(key)
-        if state is None:
-            state = self._keys[key] = _KeyState(
-                key=key, program=program, source=source, payload=payload, n=n
-            )
-            state.task = self._loop.create_task(
-                self._drain_loop(state), name=f"repro-shard-queue-{key}"
-            )
-        return state
-
+    # -- submission ----------------------------------------------------------
     async def submit(
         self,
         workload: Union[str, Program],
@@ -852,98 +808,11 @@ class ShardedServer:
         :class:`~repro.errors.ServerOverloadedError`, expiry raises
         :class:`~repro.errors.RequestDeadlineError` — plus
         :class:`~repro.errors.ShardDeadError` when shard deaths exhaust a
-        request's one re-dispatch (or leave no live shard).
+        request's one re-dispatch (or leave no live shard).  The first
+        submission starts the fleet on the running event loop.
         """
-        if self._closing:
-            raise ServerClosedError("server is stopped; submission refused")
         self._ensure_started()
-        state = self._resolve(workload, n)
-        row = np.asarray(value, dtype=state.program.dtype).ravel()
-        if row.size > state.program.memory_words:
-            raise ExecutionError(
-                f"input of {row.size} words exceeds program memory "
-                f"({state.program.memory_words} words)"
-            )
-        if len(state.requests) >= self.config.max_pending:
-            self.metrics.counter("requests.rejected_overload").inc()
-            if not state.overloaded:
-                state.overloaded = True
-                record_incident(
-                    "server-overload", "serve.queue",
-                    f"queue {state.key} rejected a submission at its pending "
-                    f"bound ({self.config.max_pending}); shedding load until "
-                    f"the next successful dispatch",
-                )
-            raise ServerOverloadedError(
-                f"queue {state.key} is overloaded ({len(state.requests)} "
-                f"pending, bound {self.config.max_pending})",
-                key=state.key,
-                depth=len(state.requests),
-                retry_after=self._retry_after(),
-            )
-        now = time.monotonic()
-        request = _Request(
-            row=row,
-            future=self._loop.create_future(),
-            enqueued=now,
-            deadline=(now + deadline) if deadline is not None else None,
-        )
-        state.requests.append(request)
-        self.metrics.counter("requests.submitted").inc()
-        state.wake.set()
-        return await request.future
-
-    # -- the scheduler -------------------------------------------------------
-    async def _drain_loop(self, state: _KeyState) -> None:
-        cfg = self.config
-        while True:
-            if not state.requests:
-                if self._closing:
-                    break
-                state.wake.clear()
-                await state.wake.wait()
-                continue
-            first_enqueued = state.requests[0].enqueued
-            linger_until = first_enqueued + cfg.max_linger
-            target = self.policy.target_batch(
-                state.program.trace_length, cfg.max_batch
-            )
-            while len(state.requests) < target and not self._closing:
-                remaining = linger_until - time.monotonic()
-                if remaining <= 0:
-                    break
-                state.wake.clear()
-                try:
-                    await asyncio.wait_for(state.wake.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-            batch = self._take_batch(state)
-            if batch:
-                try:
-                    await self._dispatch(state, batch, first_enqueued, attempts=1)
-                except ServeError as exc:
-                    for request in batch:
-                        if not request.future.done():
-                            request.future.set_exception(exc)
-
-    def _take_batch(self, state: _KeyState) -> List[_Request]:
-        """Pop up to ``max_batch`` live requests, failing expired ones."""
-        now = time.monotonic()
-        batch: List[_Request] = []
-        while state.requests and len(batch) < self.config.max_batch:
-            request = state.requests.popleft()
-            if request.future.done():
-                self.metrics.counter("requests.cancelled").inc()
-                continue
-            if request.deadline is not None and now >= request.deadline:
-                self.metrics.counter("requests.deadline_exceeded").inc()
-                request.future.set_exception(RequestDeadlineError(
-                    f"request to {state.key} expired after "
-                    f"{now - request.enqueued:.4f}s in queue"
-                ))
-                continue
-            batch.append(request)
-        return batch
+        return await self._admit(workload, value, n, deadline)
 
     # -- placement & dispatch ------------------------------------------------
     def _price(self, shard: _Shard, trace_length: int, lanes: int) -> float:
@@ -953,7 +822,7 @@ class ShardedServer:
             speedup=cfg.lane_speedup(),
         )
 
-    async def _acquire(self, state: _KeyState, lanes: int) -> Tuple[_Shard, int]:
+    async def _acquire(self, q: _Queue, lanes: int) -> Tuple[_Shard, int]:
         """Cheapest live shard with a free slot for this key (admission).
 
         Ranks live, non-draining shards by :func:`placement_units` (backlog
@@ -980,13 +849,13 @@ class ShardedServer:
                 raise ShardDeadError(
                     "no live shard remains to place the batch on"
                 )
-            trace_length = state.program.trace_length
+            trace_length = q.program.trace_length
             for shard in sorted(
                 candidates,
                 key=lambda s: (self._price(s, trace_length, lanes), s.id),
             ):
-                self._open_on(shard, state)
-                free = shard.free[state.key]
+                self._open_on(shard, q)
+                free = shard.free[q.key]
                 if free:
                     return shard, free.popleft()
             remaining = give_up - time.monotonic()
@@ -995,15 +864,15 @@ class ShardedServer:
                 retry_after = self._retry_after()
                 record_incident(
                     "server-overload", "serve.slots",
-                    f"no arena slot freed for {state.key} within "
+                    f"no arena slot freed for {q.key} within "
                     f"{self.config.admission_timeout}s; batch shed with "
                     f"retry_after={retry_after:.4f}s",
                 )
                 raise ServerOverloadedError(
-                    f"every slot for {state.key} stayed in flight for "
+                    f"every slot for {q.key} stayed in flight for "
                     f"{self.config.admission_timeout}s; shedding the batch",
-                    key=state.key,
-                    depth=len(state.requests),
+                    key=q.key,
+                    depth=len(q.requests),
                     retry_after=retry_after,
                 )
             self._slot_released.clear()
@@ -1014,44 +883,53 @@ class ShardedServer:
             except asyncio.TimeoutError:
                 pass
 
-    def _open_on(self, shard: _Shard, state: _KeyState) -> None:
-        """Replicate a queue key onto a shard (arena + one ``open`` message)."""
-        if state.key in shard.opened:
+    def _open_on(self, shard: _Shard, q: _Queue) -> None:
+        """Replicate a queue key onto a shard (arena + one ``open`` message).
+
+        Registry programs ship as ``(name, n)``; any other program ships
+        as its IR document, serialised once per key however many shards
+        (or respawns) open it.
+        """
+        if q.key in shard.opened:
             return
+        shipped = self._shipped.get(q.key)
+        if shipped is None:
+            if q.origin is not None:
+                shipped = ("registry", q.origin[0], q.origin[1])
+            else:
+                shipped = ("ir", json.dumps(program_to_dict(q.program)), 0)
+            self._shipped[q.key] = shipped
         cfg = self.config
         arena = SlotArena.create(
-            cfg.slots, cfg.max_batch, state.program.memory_words,
-            state.program.dtype,
+            cfg.slots, cfg.max_batch, q.program.memory_words, q.program.dtype,
         )
-        shard.arenas[state.key] = arena
-        shard.free[state.key] = deque(range(cfg.slots))
+        shard.arenas[q.key] = arena
+        shard.free[q.key] = deque(range(cfg.slots))
         shard.work.put(wire.check_wire(wire.open_key(
-            state.key, state.source, state.payload, state.n, arena.name,
-            cfg.slots, cfg.max_batch, state.program.memory_words,
-            state.program.dtype.name,
+            q.key, *shipped, arena.name, cfg.slots, cfg.max_batch,
+            q.program.memory_words, q.program.dtype.name,
         )))
-        shard.opened.add(state.key)
+        shard.opened.add(q.key)
 
     async def _dispatch(
-        self, state: _KeyState, batch: List[_Request],
-        first_enqueued: float, attempts: int,
+        self, q: _Queue, batch: List[_Request], first_enqueued: float,
+        attempts: int = 1,
     ) -> None:
+        """Place ``batch`` on the cheapest shard; its ``done`` completes it."""
         cfg = self.config
         occupancy = len(batch)
-        lanes = (
-            round_up_warp(occupancy, cfg.warp) if cfg.pad_to_warp else occupancy
-        )
+        lanes = self._lanes(occupancy)
         width = max(request.row.size for request in batch)
-        shard, slot = await self._acquire(state, lanes)
+        shard, slot = await self._acquire(q, lanes)
         # No awaits from here to the work-queue put: the shard chosen above
         # cannot be declared dead mid-pack (death handling runs on this
         # same event loop), so the flight is either completed or swept.
-        view = shard.arenas[state.key].input_view(slot, occupancy, width)
+        view = shard.arenas[q.key].input_view(slot, occupancy, width)
         view[:] = 0
         for i, request in enumerate(batch):
             view[i, : request.row.size] = request.row
         units = placement_units(
-            state.program.trace_length, lanes, cfg.warp, cfg.latency,
+            q.program.trace_length, lanes, cfg.warp, cfg.latency,
             speedup=cfg.lane_speedup(),
         )
         # The batch's deadline is its *earliest* request deadline, shipped
@@ -1064,52 +942,29 @@ class ShardedServer:
         self._seq += 1
         started = time.monotonic()
         self._inflight[seq] = _Flight(
-            seq=seq, key=state.key, shard=shard.id, slot=slot,
+            seq=seq, key=q.key, shard=shard.id, slot=slot,
             requests=batch, lanes=lanes, occupancy=occupancy, width=width,
             units=units, attempts=attempts, first_enqueued=first_enqueued,
             deadline=deadline, dispatched_at=started,
         )
         self._idle.clear()
         shard.backlog += units
-        self.metrics.histogram("queue.time_to_first_dispatch_seconds").observe(
-            started - first_enqueued
-        )
-        self.metrics.histogram("queue.depth_at_dispatch").observe(
-            occupancy + len(state.requests)
-        )
+        self._observe_dispatch(q, occupancy, first_enqueued, started)
         self.metrics.histogram("placement.backlog_units").observe(shard.backlog)
         shard.work.put(wire.check_wire(
-            wire.batch(seq, state.key, slot, lanes, occupancy, width,
+            wire.batch(seq, q.key, slot, lanes, occupancy, width,
                        float(deadline))
         ))
 
     # -- lifecycle -----------------------------------------------------------
-    async def stop(self, drain: bool = True) -> None:
-        """Stop accepting work; drain (default) or abandon pending requests.
+    async def _shutdown(self) -> None:
+        """Wait out in-flight descriptors, then stop the workers.
 
-        Draining dispatches every pending request, waits for all in-flight
-        descriptors (surviving any shard deaths along the way), then shuts
-        the worker processes down with ``stop`` descriptors.  Idempotent.
+        Runs after the broker has dispatched (or abandoned) every queued
+        request; shard deaths along the way still re-dispatch.
         """
-        if self._stopped:
-            return
-        self._closing = True
         if not self._started:
-            self._stopped = True
             return
-        if not drain:
-            for state in self._keys.values():
-                while state.requests:
-                    request = state.requests.popleft()
-                    if not request.future.done():
-                        request.future.set_exception(ServerClosedError(
-                            f"server stopped without draining {state.key}"
-                        ))
-        for state in self._keys.values():
-            state.wake.set()
-        tasks = [s.task for s in self._keys.values() if s.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
         while self._aux_tasks:
             await asyncio.gather(*list(self._aux_tasks), return_exceptions=True)
         if self._inflight:
@@ -1125,6 +980,7 @@ class ShardedServer:
         if self._supervisor is not None:
             await self._supervisor.stop()
         self._reader_stop.set()
+        self._wake_reader()
         if self._reader is not None:
             self._reader.join(timeout=2.0)
         for shard in self._shards:
@@ -1144,48 +1000,22 @@ class ShardedServer:
             shard.free.clear()
             shard.work.close()
             shard.work.cancel_join_thread()
-        if self._done_queue is not None:
-            self._done_queue.close()
-            self._done_queue.cancel_join_thread()
-
-    @property
-    def running(self) -> bool:
-        """Is the server accepting submissions?"""
-        return not self._closing
-
-    async def __aenter__(self) -> "ShardedServer":
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.stop(drain=exc_type is None)
-        return None
+        os.close(self._wake_r)
+        os.close(self._wake_w)
 
     # -- observability -------------------------------------------------------
-    def stats(self) -> dict:
-        """Deterministically ordered snapshot, shard section included.
+    def _queue_stats(self, q: _Queue) -> dict:
+        return {}
 
-        Same shape as :meth:`BulkServer.stats` plus a ``shards`` mapping:
-        per shard ``alive``/``ready``/``pid``/``batches``/``backlog_units``
+    def _placement_stats(self) -> dict:
+        """The ``shards`` and ``supervisor`` sections of :meth:`stats`.
+
+        Per shard ``alive``/``ready``/``pid``/``batches``/``backlog_units``
         and the backends its executors actually ran on.  Per-shard latency
         and occupancy percentiles live in ``histograms`` under
         ``shard.<id>.request_latency_seconds`` / ``shard.<id>.occupancy``.
         """
-        snapshot = self.metrics.snapshot()
         return {
-            "counters": snapshot["counters"],
-            "histograms": snapshot["histograms"],
-            "incidents": incident_summary(),
-            "policy": self.policy.describe(),
-            "queues": {
-                key: {
-                    "depth": len(self._keys[key].requests),
-                    "target_batch": self.policy.target_batch(
-                        self._keys[key].program.trace_length,
-                        self.config.max_batch,
-                    ),
-                }
-                for key in sorted(self._keys)
-            },
             "shards": {
                 shard.id: {
                     "alive": shard.alive,
@@ -1202,14 +1032,14 @@ class ShardedServer:
                 for shard in self._shards
             },
             "supervisor": {
+                "draining": sum(1 for s in self._shards if s.draining),
                 "enabled": self.config.supervise,
                 "live": sum(
                     1 for s in self._shards if s.alive and not s.draining
                 ),
-                "draining": sum(1 for s in self._shards if s.draining),
-                "quarantined": sum(1 for s in self._shards if s.quarantined),
-                "min_shards": self.config.shard_floor(),
                 "max_shards": self.config.shard_ceiling(),
+                "min_shards": self.config.shard_floor(),
+                "quarantined": sum(1 for s in self._shards if s.quarantined),
             },
         }
 

@@ -37,6 +37,12 @@ Shape of the thing::
   also the exceptional ``async with`` exit — abandons pending requests
   with :class:`~repro.errors.ServerClosedError` instead.
 
+The broker core — queues, admission, linger, completion, shutdown and
+``stats()`` — is written once, here; a placement decides only how a taken
+batch runs.  This module's is a worker-thread pool;
+:class:`~repro.serve.router.ShardedServer` subclasses the broker to place
+batches on a fleet of shard processes instead.
+
 Everything observable lands in :meth:`BulkServer.stats`: queue depth,
 batch occupancy, pad-lane waste, time-to-first-dispatch, per-batch execute
 time, overload/deadline counts, plus the process incident summary — all
@@ -75,7 +81,7 @@ from .policy import (
     round_up_warp,
 )
 
-__all__ = ["BulkServer", "ServeConfig"]
+__all__ = ["BulkServer", "ServeConfig", "column_executor"]
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,30 @@ class ServeConfig:
         return backend_lane_speedup(self.backend, self.native_threads)
 
 
+#: Shortest ``retry_after`` a shed client is told: a zero-linger config
+#: must not invite an immediate retry storm.
+RETRY_AFTER_FLOOR = 1e-3
+
+
+def column_executor(
+    cache: Dict[int, BulkExecutor], program: Program, lanes: int,
+    config: ServeConfig,
+) -> BulkExecutor:
+    """``cache[lanes]``, built on first use with ``config``'s backend knobs.
+
+    The one place a serving placement makes an executor: the in-process
+    server keeps a cache per queue, every shard worker one per queue key.
+    """
+    executor = cache.get(lanes)
+    if executor is None:
+        executor = cache[lanes] = BulkExecutor(
+            program, lanes, "column", backend=config.backend,
+            fuse=config.fuse, guard=config.guard,
+            tile=config.native_tile, threads=config.native_threads,
+        )
+    return executor
+
+
 @dataclass
 class _Request:
     row: np.ndarray
@@ -179,8 +209,16 @@ class _Request:
 
 @dataclass
 class _Queue:
+    """One ``(workload, n)`` queue and its scheduler task.
+
+    ``origin`` is ``(registry name, n)`` for a program built from the
+    algorithm registry, ``None`` for a registered or submitted
+    :class:`Program`.  ``executors`` is the in-process placement's cache.
+    """
+
     key: str
     program: Program
+    origin: Optional[Tuple[str, int]] = None
     requests: Deque[_Request] = field(default_factory=deque)
     wake: "asyncio.Event" = field(default_factory=asyncio.Event)
     task: Optional["asyncio.Task"] = None
@@ -199,13 +237,25 @@ class BulkServer:
             outs = await asyncio.gather(
                 *(server.submit("prefix-sums", row, n=64) for row in rows)
             )
+
+    This class is also the broker core every placement shares: queues,
+    admission and backpressure, the linger loop, batch completion, shutdown
+    and ``stats()``.  A placement decides only how a taken batch runs
+    (:meth:`_dispatch`), what stopping releases (:meth:`_shutdown`) and
+    what it adds to ``stats()``; :class:`~repro.serve.router.ShardedServer`
+    is the multi-process one.
     """
+
+    #: The config type keyword overrides build.
+    config_class = ServeConfig
 
     def __init__(self, config: Optional[ServeConfig] = None, **overrides) -> None:
         if config is None:
-            config = ServeConfig(**overrides)
+            config = self.config_class(**overrides)
         elif overrides:
-            raise ServeError("pass either a ServeConfig or keyword overrides")
+            raise ServeError(
+                f"pass either a {self.config_class.__name__} or keyword overrides"
+            )
         self.config = config
         self.policy = make_policy(
             config.policy, w=config.warp, l=config.latency,
@@ -227,37 +277,35 @@ class BulkServer:
             raise ServerClosedError("server is stopped")
         self._programs[name] = program
 
-    def _resolve(self, workload: Union[str, Program],
-                 n: Optional[int]) -> Tuple[str, Program]:
+    def _queue_for(self, workload: Union[str, Program],
+                   n: Optional[int]) -> _Queue:
+        """The queue serving ``workload``; the first use starts its scheduler."""
         if isinstance(workload, Program):
             key = f"program:{workload.name}"
-            self._programs.setdefault(key, workload)
-            return key, self._programs[key]
-        name = workload
-        if n is None and ":" in name:
-            name, _, suffix = name.partition(":")
-            n = int(suffix)
-        if n is None:
-            if name in self._programs:
-                return name, self._programs[name]
+        else:
+            if n is None and ":" in workload:
+                workload, _, suffix = workload.partition(":")
+                n = int(suffix)
+            key = workload if n is None else f"{workload}:{n}"
+        q = self._queues.get(key)
+        if q is not None:
+            return q
+        origin = None
+        if isinstance(workload, Program):
+            program = workload
+        elif key in self._programs:
+            program = self._programs[key]
+        elif n is None:
             raise ServeError(
                 f"workload {workload!r} is not registered and carries no "
                 f"problem size; use submit(name, x, n=...) or register()"
             )
-        key = f"{name}:{n}"
-        program = self._programs.get(key)
-        if program is None:
-            program = get_spec(name).build(n)
-            self._programs[key] = program
-        return key, program
-
-    def _queue(self, key: str, program: Program) -> _Queue:
-        q = self._queues.get(key)
-        if q is None:
-            q = self._queues[key] = _Queue(key=key, program=program)
-            q.task = asyncio.get_running_loop().create_task(
-                self._drain_loop(q), name=f"repro-serve-{key}"
-            )
+        else:
+            program, origin = get_spec(workload).build(n), (workload, n)
+        q = self._queues[key] = _Queue(key=key, program=program, origin=origin)
+        q.task = asyncio.get_running_loop().create_task(
+            self._drain_loop(q), name=f"repro-serve-{key}"
+        )
         return q
 
     # -- submission ----------------------------------------------------------
@@ -290,16 +338,23 @@ class BulkServer:
         ServerClosedError
             The server is stopped or stopping.
         """
+        return await self._admit(workload, value, n, deadline)
+
+    def _admit(self, workload: Union[str, Program], value, n: Optional[int],
+               deadline: Optional[float]) -> "asyncio.Future":
+        """Validate one submission, apply backpressure, enqueue it.
+
+        Returns the future the queue's scheduler resolves with the output.
+        """
         if self._closing:
             raise ServerClosedError("server is stopped; submission refused")
-        key, program = self._resolve(workload, n)
-        row = np.asarray(value, dtype=program.dtype).ravel()
-        if row.size > program.memory_words:
+        q = self._queue_for(workload, n)
+        row = np.asarray(value, dtype=q.program.dtype).ravel()
+        if row.size > q.program.memory_words:
             raise ExecutionError(
                 f"input of {row.size} words exceeds program memory "
-                f"({program.memory_words} words)"
+                f"({q.program.memory_words} words)"
             )
-        q = self._queue(key, program)
         if len(q.requests) >= self.config.max_pending:
             self.metrics.counter("requests.rejected_overload").inc()
             if not q.overloaded:
@@ -307,18 +362,16 @@ class BulkServer:
                 record_incident(
                     "server-overload",
                     "serve.queue",
-                    f"queue {key} rejected a submission at its pending "
+                    f"queue {q.key} rejected a submission at its pending "
                     f"bound ({self.config.max_pending}); shedding load "
                     f"until the next successful dispatch",
                 )
             raise ServerOverloadedError(
-                f"queue {key} is overloaded ({len(q.requests)} pending, "
+                f"queue {q.key} is overloaded ({len(q.requests)} pending, "
                 f"bound {self.config.max_pending})",
-                key=key,
+                key=q.key,
                 depth=len(q.requests),
-                # One linger window is when the next dispatch can drain the
-                # queue — the in-process broker's cheapest honest hint.
-                retry_after=self.config.max_linger,
+                retry_after=self._retry_after(),
             )
         now = time.monotonic()
         request = _Request(
@@ -330,7 +383,15 @@ class BulkServer:
         q.requests.append(request)
         self.metrics.counter("requests.submitted").inc()
         q.wake.set()
-        return await request.future
+        return request.future
+
+    def _retry_after(self) -> float:
+        """When a shed client should retry.
+
+        One linger window is when the next dispatch can drain the queue,
+        floored at :data:`RETRY_AFTER_FLOOR`.
+        """
+        return max(self.config.max_linger, RETRY_AFTER_FLOOR)
 
     # -- the scheduler -------------------------------------------------------
     async def _drain_loop(self, q: _Queue) -> None:
@@ -360,7 +421,14 @@ class BulkServer:
                     break
             batch = self._take_batch(q)
             if batch:
-                await self._dispatch(q, batch, first_enqueued)
+                try:
+                    await self._dispatch(q, batch, first_enqueued)
+                except ServeError as exc:
+                    # The placement refused the whole batch (shed, stopped,
+                    # or nowhere left to run it).
+                    for request in batch:
+                        if not request.future.done():
+                            request.future.set_exception(exc)
 
     def _take_batch(self, q: _Queue) -> List[_Request]:
         """Pop up to ``max_batch`` live requests, failing expired ones."""
@@ -381,46 +449,72 @@ class BulkServer:
             batch.append(request)
         return batch
 
-    def _executor_for(self, q: _Queue, lanes: int) -> BulkExecutor:
-        """The queue's cached executor for ``lanes`` (created on demand).
-
-        Called from a worker thread; safe because each queue dispatches
-        one batch at a time.
-        """
-        executor = q.executors.get(lanes)
-        if executor is None:
-            cfg = self.config
-            executor = BulkExecutor(
-                q.program, lanes, "column", backend=cfg.backend,
-                fuse=cfg.fuse, guard=cfg.guard,
-                tile=cfg.native_tile, threads=cfg.native_threads,
-            )
-            q.executors[lanes] = executor
-        return executor
-
-    def _run_batch(self, q: _Queue, lanes: int, block: np.ndarray) -> np.ndarray:
-        """Worker-thread body: one guarded bulk execution, outputs trimmed."""
-        return self._executor_for(q, lanes).run_trimmed(block)
-
-    async def _dispatch(
-        self, q: _Queue, batch: List[_Request], first_enqueued: float
-    ) -> None:
+    # -- batch bookkeeping shared by every placement -------------------------
+    def _lanes(self, occupancy: int) -> int:
+        """Executor width for ``occupancy`` requests (warp-padded by default)."""
         cfg = self.config
-        occupancy = len(batch)
-        lanes = (
-            round_up_warp(occupancy, cfg.warp) if cfg.pad_to_warp else occupancy
-        )
-        width = max(request.row.size for request in batch)
-        block = np.zeros((occupancy, width), dtype=q.program.dtype)
-        for i, request in enumerate(batch):
-            block[i, : request.row.size] = request.row
-        started = time.monotonic()
+        return round_up_warp(occupancy, cfg.warp) if cfg.pad_to_warp else occupancy
+
+    def _observe_dispatch(self, q: _Queue, occupancy: int,
+                          first_enqueued: float, started: float) -> None:
         self.metrics.histogram("queue.time_to_first_dispatch_seconds").observe(
             started - first_enqueued
         )
         self.metrics.histogram("queue.depth_at_dispatch").observe(
             occupancy + len(q.requests)
         )
+
+    def _complete(self, q: _Queue, batch: List[_Request], outputs,
+                  lanes: int, elapsed: float) -> float:
+        """Resolve a finished batch's futures and record it; return the time."""
+        m = self.metrics
+        occupancy = len(batch)
+        m.counter("batches.dispatched").inc()
+        m.counter("requests.completed").inc(occupancy)
+        m.counter("lanes.padded").inc(lanes - occupancy)
+        m.histogram("batch.size").observe(occupancy)
+        m.histogram("batch.occupancy").observe(occupancy / lanes)
+        m.histogram("batch.execute_seconds").observe(elapsed)
+        q.overloaded = False
+        latency = m.histogram("request.latency_seconds")
+        now = time.monotonic()
+        for request, output in zip(batch, outputs):
+            if self.config.record:
+                self.served.append((q.key, request.row.copy(), output.copy()))
+            if not request.future.done():
+                request.future.set_result(output)
+            latency.observe(now - request.enqueued)
+        return now
+
+    def _fail(self, batch: List[_Request], exc: Exception) -> None:
+        """Fail every still-waiting request of a batch with ``exc``."""
+        self.metrics.counter("requests.failed").inc(len(batch))
+        for request in batch:
+            if not request.future.done():
+                request.future.set_exception(exc)
+
+    # -- in-process placement ------------------------------------------------
+    def _run_batch(self, q: _Queue, lanes: int, block: np.ndarray) -> np.ndarray:
+        """Worker-thread body: one guarded bulk execution, outputs trimmed.
+
+        The executor cache is safe to touch from a worker thread because
+        each queue dispatches one batch at a time.
+        """
+        executor = column_executor(q.executors, q.program, lanes, self.config)
+        return executor.run_trimmed(block)
+
+    async def _dispatch(
+        self, q: _Queue, batch: List[_Request], first_enqueued: float
+    ) -> None:
+        """Pack ``batch`` and run it on a worker thread."""
+        occupancy = len(batch)
+        lanes = self._lanes(occupancy)
+        width = max(request.row.size for request in batch)
+        block = np.zeros((occupancy, width), dtype=q.program.dtype)
+        for i, request in enumerate(batch):
+            block[i, : request.row.size] = request.row
+        started = time.monotonic()
+        self._observe_dispatch(q, occupancy, first_enqueued, started)
         try:
             outputs = await asyncio.get_running_loop().run_in_executor(
                 self._thread_pool(), self._run_batch, q, lanes, block
@@ -428,37 +522,18 @@ class BulkServer:
         except ReproError as exc:
             # The guard layer already degrades recoverable native failures
             # inside run(); whatever still escapes fails this batch only.
-            self.metrics.counter("requests.failed").inc(len(batch))
             record_incident(
                 "batch-failure",
                 "serve.dispatch",
-                f"batch of {len(batch)} on {q.key} failed: {exc}",
+                f"batch of {occupancy} on {q.key} failed: {exc}",
             )
-            for request in batch:
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServeError(f"batch execution failed: {exc}")
-                    )
+            self._fail(batch, ServeError(f"batch execution failed: {exc}"))
             return
-        elapsed = time.monotonic() - started
-        self.metrics.counter("batches.dispatched").inc()
-        self.metrics.counter("requests.completed").inc(occupancy)
-        self.metrics.counter("lanes.padded").inc(lanes - occupancy)
-        self.metrics.histogram("batch.size").observe(occupancy)
-        self.metrics.histogram("batch.occupancy").observe(occupancy / lanes)
-        self.metrics.histogram("batch.execute_seconds").observe(elapsed)
+        self._complete(q, batch, outputs, lanes, time.monotonic() - started)
         if isinstance(self.policy, AdaptivePolicy):
             self.metrics.histogram("batch.predicted_units_per_request").observe(
                 self.policy.predicted_units(q.program.trace_length, lanes)
             )
-        q.overloaded = False
-        for request, output in zip(batch, outputs):
-            if cfg.record:
-                self.served.append((q.key, request.row.copy(), output.copy()))
-            if not request.future.done():
-                request.future.set_result(output)
-            latency = time.monotonic() - request.enqueued
-            self.metrics.histogram("request.latency_seconds").observe(latency)
 
     def _thread_pool(self):
         if self._pool is None:
@@ -470,12 +545,21 @@ class BulkServer:
             )
         return self._pool
 
+    async def _shutdown(self) -> None:
+        """Release the placement once every queue has drained."""
+        for q in self._queues.values():
+            for executor in q.executors.values():
+                executor.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
+
     # -- lifecycle -----------------------------------------------------------
     async def stop(self, drain: bool = True) -> None:
         """Stop accepting work; drain (default) or abandon pending requests.
 
         With ``drain=True`` every pending request is dispatched (linger
-        windows are skipped) before the executors are closed.  With
+        windows are skipped) before the placement is released.  With
         ``drain=False`` pending requests fail with
         :class:`~repro.errors.ServerClosedError`; a batch already in
         flight still completes.  Idempotent.
@@ -496,12 +580,7 @@ class BulkServer:
         tasks = [q.task for q in self._queues.values() if q.task is not None]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        for q in self._queues.values():
-            for executor in q.executors.values():
-                executor.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        await self._shutdown()
         self._stopped = True
 
     @property
@@ -524,35 +603,41 @@ class BulkServer:
         """Deterministically ordered snapshot of the server's behaviour.
 
         Top-level keys (sorted): ``counters``, ``histograms``,
-        ``incidents``, ``policy``, ``queues``.  Every nested mapping is
-        sorted too, so two snapshots of identical traffic render
-        identically (diff-stable CI / docs output).
+        ``incidents``, ``policy``, ``queues``, then any placement
+        sections.  Every nested mapping is sorted too, so two snapshots of
+        identical traffic render identically (diff-stable CI / docs
+        output).
         """
         snapshot = self.metrics.snapshot()
-        target = {
-            key: self.policy.target_batch(
-                q.program.trace_length, self.config.max_batch
-            )
-            for key, q in self._queues.items()
-        }
         return {
             "counters": snapshot["counters"],
             "histograms": snapshot["histograms"],
             "incidents": incident_summary(),
             "policy": self.policy.describe(),
             "queues": {
-                key: {
-                    "backends": sorted({
-                        ex.backend
-                        for ex in self._queues[key].executors.values()
-                    }),
-                    "depth": len(self._queues[key].requests),
-                    "executors": sorted(self._queues[key].executors),
-                    "target_batch": target[key],
-                }
-                for key in sorted(self._queues)
+                key: dict(sorted({
+                    "depth": len(q.requests),
+                    "target_batch": self.policy.target_batch(
+                        q.program.trace_length, self.config.max_batch
+                    ),
+                    **self._queue_stats(q),
+                }.items()))
+                for key, q in sorted(self._queues.items())
             },
+            **self._placement_stats(),
         }
+
+    def _queue_stats(self, q: _Queue) -> dict:
+        """Placement-specific fields of one queue's ``stats()`` entry."""
+        return {
+            "backends": sorted({ex.backend for ex in q.executors.values()}),
+            "executors": sorted(q.executors),
+        }
+
+    def _placement_stats(self) -> dict:
+        """Top-level ``stats()`` sections a placement adds (sorted after
+        ``queues``)."""
+        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -24,10 +24,10 @@ Failure containment, in increasing severity:
 * any other exception sends a best-effort ``fatal`` and re-raises;
 * a chaos ``fault_spec`` arms one of the serving layer's failure modes at a
   chosen batch index: ``kill`` hard-kills the process with ``os._exit`` (no
-  message, no cleanup — the death the router's liveness sweep must catch
-  alone), ``wedge`` stalls it effectively forever (alive but deaf — the
-  supervisor's heartbeat must catch it), ``stall`` delays it briefly (so a
-  deadline can expire in flight), ``deaf`` swallows heartbeat pongs while
+  message, no cleanup — the death the router's wait on the process
+  sentinel must catch alone), ``wedge`` stalls it effectively forever
+  (alive but deaf — the supervisor's heartbeat must catch it), ``stall``
+  delays it briefly (so a deadline can expire in flight), ``deaf`` swallows heartbeat pongs while
   work continues, ``corrupt`` flips a byte of a slot's outputs *after*
   checksumming, and ``drop`` loses one ``done`` completion on the floor.
 """
@@ -48,7 +48,8 @@ from ..reliability import faults
 from ..trace.ir import Program
 from ..trace.serialize import program_from_dict
 from . import wire
-from .policy import AdaptivePolicy, backend_lane_speedup
+from .policy import AdaptivePolicy
+from .server import ServeConfig, column_executor
 from .shm import SlotArena
 
 __all__ = ["shard_main", "build_program", "FAULT_KINDS"]
@@ -60,8 +61,9 @@ KILL_EXIT_STATUS = 139
 FAULT_KINDS = ("kill", "wedge", "stall", "deaf", "corrupt", "drop")
 
 #: A ``wedge`` is a stall long enough that no sane heartbeat or flight
-#: timeout outlasts it — the worker is alive (so liveness sweeps see
-#: nothing) but will never answer again without supervisor intervention.
+#: timeout outlasts it — the worker is alive (so its process sentinel
+#: stays silent) but will never answer again without supervisor
+#: intervention.
 WEDGE_SECONDS = 3600.0
 
 #: A ``stall`` delays one batch just long enough for a short request
@@ -131,7 +133,7 @@ def _install_fault(fault_spec: Optional[Tuple[str, int]]) -> None:
 def shard_main(
     shard_id: int,
     work_queue,
-    done_queue,
+    done,
     *,
     backend: str = "numpy",
     fuse: bool = True,
@@ -145,10 +147,12 @@ def shard_main(
 ) -> None:
     """Worker entry point: drain ``work_queue`` until ``stop``.
 
-    All parameters are primitives so the entry point is start-method
-    agnostic (``fork`` and ``spawn`` both work).  ``warp``/``latency``
-    shape this shard's replicated :class:`AdaptivePolicy`, whose per-batch
-    price rides back to the router in every ``done`` message;
+    Every message back to the router goes down ``done``, the write end of
+    this worker's own completion pipe.  The other parameters are
+    primitives so the entry point is start-method agnostic (``fork`` and
+    ``spawn`` both work).  ``warp``/``latency`` shape this shard's
+    replicated :class:`AdaptivePolicy`, whose per-batch price rides back
+    to the router in every ``done`` message;
     ``native_tile``/``native_threads`` are this shard's native-kernel
     budget (every shard runs the same budget, so outputs stay replica-
     identical, and the policy prices with the matching lane speedup).
@@ -169,14 +173,15 @@ def shard_main(
     from ..autofix.store import promotion_store
 
     promotion_store().preload()
-    policy = AdaptivePolicy(
-        w=warp, l=latency,
-        speedup=backend_lane_speedup(backend, native_threads),
+    config = ServeConfig(
+        backend=backend, fuse=fuse, guard=guard, warp=warp, latency=latency,
+        native_tile=native_tile, native_threads=native_threads,
     )
+    policy = AdaptivePolicy(w=warp, l=latency, speedup=config.lane_speedup())
     programs: Dict[str, Program] = {}
     arenas: Dict[str, SlotArena] = {}
-    executors: Dict[Tuple[str, int], BulkExecutor] = {}
-    done_queue.put(wire.check_wire(wire.ready(shard_id, os.getpid())))
+    executors: Dict[str, Dict[int, BulkExecutor]] = {}
+    done.send(wire.check_wire(wire.ready(shard_id, os.getpid())))
     try:
         while True:
             msg = wire.check_wire(work_queue.get())
@@ -187,6 +192,7 @@ def shard_main(
                 _, key, source, payload, n, shm_name, slots, max_batch, words, dtype = msg
                 if key not in programs:
                     programs[key] = build_program(source, payload, n)
+                    executors[key] = {}
                     arenas[key] = SlotArena.attach(
                         shm_name, slots, max_batch, words, np.dtype(dtype),
                         untrack=untrack_shm,
@@ -195,7 +201,7 @@ def shard_main(
             if kind == wire.MSG_PING:
                 _, token = msg
                 if faults.fire(wire.SITE_SHARD_PONG) is None:
-                    done_queue.put(wire.check_wire(wire.pong(shard_id, token)))
+                    done.send(wire.check_wire(wire.pong(shard_id, token)))
                 continue
             if kind != wire.MSG_BATCH:
                 raise ShardError(f"shard received unexpected {kind!r} message")
@@ -204,8 +210,9 @@ def shard_main(
             if rule is not None:
                 if rule.kind == "raise":
                     # Chaos: die the way real workers die — no farewell
-                    # message, no cleanup; the router's liveness sweep (or
-                    # the supervisor's heartbeat) must notice alone.
+                    # message, no cleanup; the router's wait on the
+                    # process sentinel (or the supervisor's heartbeat)
+                    # must notice alone.
                     os._exit(KILL_EXIT_STATUS)
                 if rule.kind == "slow":
                     time.sleep(rule.seconds)
@@ -213,18 +220,12 @@ def shard_main(
                 # Nobody is waiting for this work any more — answer
                 # ``expired`` so the router can free the slot and fail the
                 # requests, instead of burning executor time.
-                done_queue.put(wire.check_wire(wire.expired(shard_id, seq, slot)))
+                done.send(wire.check_wire(wire.expired(shard_id, seq, slot)))
                 continue
             try:
                 program = programs[key]
                 arena = arenas[key]
-                executor = executors.get((key, lanes))
-                if executor is None:
-                    executor = executors[(key, lanes)] = BulkExecutor(
-                        program, lanes, "column",
-                        backend=backend, fuse=fuse, guard=guard,
-                        tile=native_tile, threads=native_threads,
-                    )
+                executor = column_executor(executors[key], program, lanes, config)
                 started = time.perf_counter()
                 executor.run_trimmed_into(
                     arena.input_view(slot, occupancy, width),
@@ -244,22 +245,24 @@ def shard_main(
                     checksum,
                 ))
                 if faults.fire(wire.SITE_WIRE_DONE) is None:
-                    done_queue.put(completion)
+                    done.send(completion)
             except ReproError as exc:
-                done_queue.put(wire.check_wire(wire.error(
+                done.send(wire.check_wire(wire.error(
                     shard_id, seq, slot, f"{type(exc).__name__}: {exc}"
                 )))
     except (KeyboardInterrupt, EOFError):  # pragma: no cover - teardown races
         pass
     except BaseException as exc:
         try:
-            done_queue.put(wire.fatal(shard_id, f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - queue already torn down
+            done.send(wire.fatal(shard_id, f"{type(exc).__name__}: {exc}"))
+        except Exception:  # pragma: no cover - pipe already torn down
             pass
         raise
     finally:
-        for executor in executors.values():
-            executor.close()
+        for cache in executors.values():
+            for executor in cache.values():
+                executor.close()
         for arena in arenas.values():
             arena.close()
+        done.close()
         faults.clear_plan()

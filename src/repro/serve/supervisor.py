@@ -11,11 +11,11 @@ fleet **self-healing**:
   probe rides *behind* any queued batches, a worker wedged mid-batch
   simply cannot answer — silence longer than ``heartbeat_timeout`` is the
   wedge detector, with no shard-side cooperation needed.  This catches the
-  failure a process-liveness sweep structurally cannot: a worker that is
+  failure a process sentinel structurally cannot: a worker that is
   alive but will never serve again.
 * **Flight timeouts.**  A descriptor older than ``flight_timeout`` with no
   completion condemns its shard too — covering lost ``done`` messages
-  (control-queue drop) as well as mid-batch stalls.  Recovery is identical
+  (control-channel drop) as well as mid-batch stalls.  Recovery is identical
   either way: the shard is recycled and the batch re-dispatched from
   router-retained rows; deterministic replicas make the retry
   bit-identical.
@@ -246,13 +246,13 @@ class ShardSupervisor:
         )
         inflight = sum(s.backlog for s in server._shards if s.alive)
         queued = 0.0
-        for state in server._keys.values():
-            depth = len(state.requests)
+        for q in server._queues.values():
+            depth = len(q.requests)
             if not depth:
                 continue
             batches = -(-depth // cfg.max_batch)
             queued += batches * placement_units(
-                state.program.trace_length, min(depth, cfg.max_batch),
+                q.program.trace_length, min(depth, cfg.max_batch),
                 cfg.warp, cfg.latency, speedup=cfg.lane_speedup(),
             )
         return (inflight + queued) / max(1, live)
@@ -268,11 +268,11 @@ class ShardSupervisor:
         server = self._server
         if cfg.shard_floor() == cfg.shard_ceiling():
             return 0
-        if not server._keys:
+        if not server._queues:
             return 0   # nothing served yet: no trace length to price with
         self._samples.append(sample)
         trace_length = max(
-            s.program.trace_length for s in server._keys.values()
+            s.program.trace_length for s in server._queues.values()
         )
         up, down = autoscale_thresholds(
             trace_length, cfg.max_batch, cfg.warp, cfg.latency,

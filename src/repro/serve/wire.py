@@ -1,6 +1,6 @@
 """The router ↔ shard wire protocol: compact descriptors, never payloads.
 
-Everything that crosses the multiprocessing control queues is a flat tuple
+Everything that crosses the process boundary is a flat tuple
 of primitives — strings, ints, floats — small enough that its pickle cost
 is independent of both the batch size and the problem size ``n``.  Request
 data itself lives in :class:`~repro.serve.shm.SlotArena` segments; a
@@ -30,7 +30,7 @@ precedes that key's first ``batch``):
 ``("stop",)``
     Drain nothing further; exit the worker loop cleanly.
 
-Shard → router (shared completion queue):
+Shard → router (the shard's own one-way completion pipe):
 
 ``("ready", shard_id, pid)``        worker is attached and serving.
 ``("pong", shard_id, token)``       heartbeat answer (see ``ping``).
@@ -45,7 +45,7 @@ Shard → router (shared completion queue):
     the worker survives and keeps serving.
 ``("fatal", shard_id, message)``    worker is about to die of an unexpected
     exception (best effort — a killed process sends nothing at all; the
-    router's liveness sweep catches those).
+    router sees its process sentinel fire instead).
 """
 
 from __future__ import annotations
@@ -96,8 +96,8 @@ SITE_SHARD_PONG = "serve.shard.pong"
 #: the router's verification must catch the mismatch.
 SITE_SLOT_OUTPUT = "serve.shm.output"
 
-#: Observed before a ``done`` completion is enqueued; a firing rule drops
-#: the message on the floor (control-queue loss) — the flight goes silent
+#: Observed before a ``done`` completion is sent; a firing rule drops the
+#: message on the floor (control-channel loss) — the flight goes silent
 #: and the supervisor's flight timeout must recover it.
 SITE_WIRE_DONE = "serve.wire.done"
 

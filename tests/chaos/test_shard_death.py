@@ -16,13 +16,16 @@ Deselect with ``-m "not chaos"`` for a fast lane.
 from __future__ import annotations
 
 import asyncio
+import os
+import struct
 
 import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec
 from repro.errors import ShardDeadError
-from repro.serve import ShardConfig, ShardedServer
+from repro.serve import ShardConfig, ShardedServer, router, wire
+from repro.serve.shard import KILL_EXIT_STATUS, shard_main
 from repro.trace.interpreter import run_sequential
 
 pytestmark = pytest.mark.chaos
@@ -97,3 +100,62 @@ class TestShardDeathMidLoad:
         assert all(isinstance(r, ShardDeadError) for r in results)
         assert stats["counters"]["shards.deaths"] == 1
         assert stats["counters"].get("requests.completed", 0) == 0
+
+
+class _TornOnSecondDone:
+    """A completion pipe whose worker dies halfway through its second ``done``.
+
+    The length header promises a 1 KiB frame but only one byte of it is
+    written before the process exits, so the pipe holds a torn frame.
+    """
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+        self.dones = 0
+
+    def send(self, msg) -> None:
+        if msg[0] == wire.MSG_DONE:
+            self.dones += 1
+            if self.dones == 2:
+                os.write(self.conn.fileno(), struct.pack("!i", 1024) + b"\x80")
+                os._exit(KILL_EXIT_STATUS)
+        self.conn.send(msg)
+
+    def close(self) -> None:
+        self.conn.close()
+
+
+def _shard_0_dies_mid_write(shard_id, work_queue, done, **kwargs):
+    if shard_id == 0:
+        done = _TornOnSecondDone(done)
+    shard_main(shard_id, work_queue, done, **kwargs)
+
+
+class TestDeathMidWrite:
+    def test_shard_killed_mid_write_never_silences_a_sibling(self, monkeypatch):
+        # Each shard owns its completion channel, so a worker that dies
+        # while writing tears only its own: the survivor's completions keep
+        # arriving, the victims re-dispatch onto it, and nothing hangs.
+        monkeypatch.setattr(router, "shard_main", _shard_0_dies_mid_write)
+        rows = _rows()
+
+        async def main():
+            config = ShardConfig(
+                shards=2, slots=1, max_batch=4, max_linger=0.0, policy=4,
+            )
+            async with ShardedServer(config) as server:
+                results = await asyncio.wait_for(asyncio.gather(
+                    *(server.submit(WORKLOAD, row, n=N) for row in rows),
+                    return_exceptions=True,
+                ), timeout=30.0)
+                return results, server.stats()
+
+        results, stats = asyncio.run(main())
+        assert not [r for r in results if isinstance(r, BaseException)]
+        assert [r.tobytes() for r in results] == _expected(rows)
+        assert stats["counters"]["shards.deaths"] == 1
+        assert stats["counters"]["requests.completed"] == COUNT
+        assert stats["shards"][0]["alive"] is False
+        assert stats["shards"][0]["batches"] == 1   # the torn second never lands
+        assert stats["shards"][1]["alive"] is True
+        assert stats["shards"][1]["batches"] >= 1

@@ -91,7 +91,7 @@ class TestRedispatchBudget:
                 assert isinstance(out, np.ndarray)
                 loop = asyncio.get_running_loop()
                 now = time.monotonic()
-                state = next(iter(server._keys.values()))
+                state = next(iter(server._queues.values()))
                 expired = _Request(
                     row=np.asarray(_row(), dtype=state.program.dtype),
                     future=loop.create_future(),

@@ -1,4 +1,9 @@
-"""BulkServer: coalescing, identity, backpressure, deadlines, shutdown.
+"""The broker contract: coalescing, identity, backpressure, deadlines, shutdown.
+
+``BulkServer`` and ``ShardedServer`` share one broker core, so the
+``*Contract`` classes run against both placements: each ``Test*`` class
+binds ``server`` to the in-process server (plus any in-process-only
+tests), each ``TestSharded*`` class to a one-shard fleet.
 
 The suite drives the event loop with ``asyncio.run`` (no pytest-asyncio in
 the toolchain).  The acceptance-criterion test is
@@ -10,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 
 import numpy as np
@@ -24,7 +30,7 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.reliability import incidents
-from repro.serve import BulkServer, FixedPolicy, ServeConfig
+from repro.serve import BulkServer, FixedPolicy, ServeConfig, ShardedServer
 from repro.trace.interpreter import run_sequential
 
 
@@ -39,13 +45,15 @@ def _inputs(workload: str, n: int, count: int, seed: int = 7) -> np.ndarray:
 
 # -- coalescing and correctness --------------------------------------------------
 
-class TestCoalescingAndIdentity:
+class CoalescingAndIdentityContract:
+    """Queue resolution, coalescing and bit-identity (both placements)."""
+
     def test_concurrent_submissions_coalesce_into_one_batch(self):
         rows = _inputs("prefix-sums", 16, 40)
         program = get_spec("prefix-sums").build(16)
 
         async def main():
-            async with BulkServer(max_linger=0.05, max_pending=64) as server:
+            async with self.server(max_linger=0.05, max_pending=64) as server:
                 outs = await asyncio.gather(
                     *(server.submit("prefix-sums", row, n=16) for row in rows)
                 )
@@ -69,7 +77,7 @@ class TestCoalescingAndIdentity:
         workloads = [("prefix-sums", 16), ("bitonic-sort", 4)]
 
         async def main():
-            async with BulkServer(max_linger=0.002, record=True) as server:
+            async with self.server(max_linger=0.002, record=True) as server:
                 jobs = []
                 for seed, (name, n) in enumerate(workloads):
                     for row in _inputs(name, n, 12, seed=seed):
@@ -87,7 +95,7 @@ class TestCoalescingAndIdentity:
 
     def test_distinct_workloads_get_distinct_queues(self):
         async def main():
-            async with BulkServer(max_linger=0.002) as server:
+            async with self.server(max_linger=0.002) as server:
                 a = server.submit("prefix-sums", np.ones(8), n=8)
                 b = server.submit("matmul", np.ones(2 * 2 * 2), n=2)
                 await asyncio.gather(a, b)
@@ -103,7 +111,7 @@ class TestCoalescingAndIdentity:
         expected = _sequential(program, row)
 
         async def main():
-            async with BulkServer(max_linger=0.001) as server:
+            async with self.server(max_linger=0.001) as server:
                 server.register("mine", program)
                 shorthand = await server.submit("prefix-sums:8", row)
                 by_program = await server.submit(program, row)
@@ -115,7 +123,7 @@ class TestCoalescingAndIdentity:
 
     def test_unregistered_workload_without_n_rejected(self):
         async def main():
-            async with BulkServer() as server:
+            async with self.server() as server:
                 with pytest.raises(ServeError, match="not registered"):
                     await server.submit("prefix-sums", np.ones(8))
 
@@ -123,22 +131,28 @@ class TestCoalescingAndIdentity:
 
     def test_oversized_input_rejected_at_submit(self):
         async def main():
-            async with BulkServer() as server:
+            async with self.server() as server:
                 with pytest.raises(ExecutionError, match="exceeds program"):
                     await server.submit("prefix-sums", np.ones(10_000), n=8)
 
         asyncio.run(main())
 
 
+class TestCoalescingAndIdentity(CoalescingAndIdentityContract):
+    server = BulkServer
+
+
 # -- backpressure ---------------------------------------------------------------
 
-class TestBackpressure:
+class BackpressureContract:
+    """Bounded queues shed with a typed, hinted error (both placements)."""
+
     def test_bounded_queue_rejects_with_typed_error(self):
         rows = _inputs("prefix-sums", 8, 3)
 
         async def main():
             # Long linger + fill-to-cap policy keep requests queued.
-            async with BulkServer(
+            async with self.server(
                 max_pending=2, max_linger=5.0, policy="full"
             ) as server:
                 pending = [
@@ -167,13 +181,36 @@ class TestBackpressure:
         assert [i.kind for i in incidents()] == ["server-overload"]
         assert len(outs) == 2 and all(o.shape == (8,) for o in outs)
 
+    def test_zero_linger_overload_hints_a_positive_retry_after(self):
+        # max_linger=0 (the single-lane baseline) must not tell a shed
+        # client to retry immediately.
+        rows = _inputs("prefix-sums", 8, 2)
+
+        async def main():
+            async with self.server(max_pending=1, max_linger=0.0) as server:
+                return await asyncio.gather(
+                    *(server.submit("prefix-sums", row, n=8) for row in rows),
+                    return_exceptions=True,
+                )
+
+        served, shed = asyncio.run(main())
+        assert isinstance(served, np.ndarray)
+        assert isinstance(shed, ServerOverloadedError)
+        assert shed.retry_after > 0
+
+
+class TestBackpressure(BackpressureContract):
+    server = BulkServer
+
 
 # -- deadlines and cancellation --------------------------------------------------
 
-class TestDeadlinesAndCancellation:
+class DeadlinesAndCancellationContract:
+    """Expiry before dispatch and cancellation (both placements)."""
+
     def test_expired_deadline_fails_typed(self):
         async def main():
-            async with BulkServer(
+            async with self.server(
                 max_linger=0.05, policy="full"
             ) as server:
                 with pytest.raises(RequestDeadlineError, match="expired"):
@@ -188,7 +225,7 @@ class TestDeadlinesAndCancellation:
 
     def test_cancelled_request_dropped_from_batch(self):
         async def main():
-            async with BulkServer(max_linger=0.05, policy="full") as server:
+            async with self.server(max_linger=0.05, policy="full") as server:
                 doomed = asyncio.ensure_future(
                     server.submit("prefix-sums", np.ones(8), n=8)
                 )
@@ -207,6 +244,10 @@ class TestDeadlinesAndCancellation:
         # The surviving request still completed, alone in its batch.
         assert stats["counters"]["requests.completed"] == 1
         assert out[-1] == pytest.approx(16.0)  # sum of eight 2.0s, in place
+
+
+class TestDeadlinesAndCancellation(DeadlinesAndCancellationContract):
+    server = BulkServer
 
 
 # -- failure containment ---------------------------------------------------------
@@ -238,13 +279,15 @@ class TestBatchFailure:
 
 # -- shutdown -------------------------------------------------------------------
 
-class TestShutdown:
+class ShutdownContract:
+    """Drain, abandon and refuse after stop (both placements)."""
+
     def test_stop_drains_pending_requests(self):
         rows = _inputs("prefix-sums", 8, 5)
         program = get_spec("prefix-sums").build(8)
 
         async def main():
-            server = BulkServer(max_linger=10.0, policy="full")
+            server = self.server(max_linger=10.0, policy="full")
             pending = [
                 asyncio.ensure_future(server.submit("prefix-sums", row, n=8))
                 for row in rows
@@ -261,7 +304,7 @@ class TestShutdown:
 
     def test_stop_without_drain_abandons_pending(self):
         async def main():
-            server = BulkServer(max_linger=10.0, policy="full")
+            server = self.server(max_linger=10.0, policy="full")
             pending = asyncio.ensure_future(
                 server.submit("prefix-sums", np.ones(8), n=8)
             )
@@ -276,13 +319,36 @@ class TestShutdown:
 
     def test_submit_after_stop_refused(self):
         async def main():
-            server = BulkServer()
+            server = self.server()
             await server.stop()
             await server.stop()  # idempotent
             with pytest.raises(ServerClosedError):
                 await server.submit("prefix-sums", np.ones(8), n=8)
 
         asyncio.run(main())
+
+    def test_exceptional_context_exit_abandons(self):
+        # Mirrors BulkSession's rule: an exception (KeyboardInterrupt
+        # included) must not silently execute half-fed work later.
+        async def main():
+            pending = {}
+            with pytest.raises(KeyboardInterrupt):
+                async with self.server(max_linger=10.0, policy="full") as server:
+                    pending["task"] = asyncio.ensure_future(
+                        server.submit("prefix-sums", np.ones(8), n=8)
+                    )
+                    await asyncio.sleep(0)
+                    raise KeyboardInterrupt()
+            with pytest.raises(ServerClosedError):
+                await pending["task"]
+            return server
+
+        server = asyncio.run(main())
+        assert not server.running
+
+
+class TestShutdown(ShutdownContract):
+    server = BulkServer
 
     def test_stop_closes_executors(self):
         async def main():
@@ -299,29 +365,48 @@ class TestShutdown:
         executors = asyncio.run(main())
         assert executors and all(ex.closed for ex in executors)
 
-    def test_exceptional_context_exit_abandons(self):
-        # Mirrors BulkSession's rule: an exception (KeyboardInterrupt
-        # included) must not silently execute half-fed work later.
-        async def main():
-            pending = {}
-            with pytest.raises(KeyboardInterrupt):
-                async with BulkServer(max_linger=10.0, policy="full") as server:
-                    pending["task"] = asyncio.ensure_future(
-                        server.submit("prefix-sums", np.ones(8), n=8)
-                    )
-                    await asyncio.sleep(0)
-                    raise KeyboardInterrupt()
-            with pytest.raises(ServerClosedError):
-                await pending["task"]
-            return server
-
-        server = asyncio.run(main())
-        assert not server.running
-
 
 # -- configuration and stats -----------------------------------------------------
 
-class TestConfigAndStats:
+class StatsContract:
+    """``stats()`` is sorted and stable (both placements)."""
+
+    #: Top-level sections the placement adds after ``queues``.
+    placement_sections: list = []
+
+    def test_stats_deterministically_ordered(self):
+        async def main():
+            async with self.server(max_linger=0.001) as server:
+                await server.submit("prefix-sums", np.ones(8), n=8)
+                await server.submit("matmul", np.ones(8), n=2)
+                return server.stats(), server.stats()
+
+        stats, again = asyncio.run(main())
+        def assert_sorted(d):
+            assert list(d) == sorted(d)
+            for v in d.values():
+                if isinstance(v, dict):
+                    assert_sorted(v)
+        assert_sorted(stats)
+        assert list(stats) == ["counters", "histograms", "incidents",
+                               "policy", "queues"] + self.placement_sections
+        assert stats["policy"].startswith("adaptive(")
+        for info in stats["queues"].values():
+            assert info["depth"] == 0
+            assert info["target_batch"] >= 1
+        self.assert_ran_on_numpy(stats)
+        # Identical traffic, identical rendering.
+        import json
+        assert json.dumps(stats) == json.dumps(again)
+
+
+class TestConfigAndStats(StatsContract):
+    server = BulkServer
+
+    def assert_ran_on_numpy(self, stats):
+        for info in stats["queues"].values():
+            assert info["backends"] == ["numpy"]
+
     def test_config_validation(self):
         for bad in (
             dict(max_batch=0),
@@ -337,31 +422,6 @@ class TestConfigAndStats:
     def test_config_xor_overrides(self):
         with pytest.raises(ServeError, match="either"):
             BulkServer(ServeConfig(), max_batch=8)
-
-    def test_stats_deterministically_ordered(self):
-        async def main():
-            async with BulkServer(max_linger=0.001) as server:
-                await server.submit("prefix-sums", np.ones(8), n=8)
-                await server.submit("matmul", np.ones(8), n=2)
-                return server.stats(), server.stats()
-
-        stats, again = asyncio.run(main())
-        def assert_sorted(d):
-            assert list(d) == sorted(d)
-            for v in d.values():
-                if isinstance(v, dict):
-                    assert_sorted(v)
-        assert_sorted(stats)
-        assert list(stats) == ["counters", "histograms", "incidents",
-                               "policy", "queues"]
-        assert stats["policy"].startswith("adaptive(")
-        for info in stats["queues"].values():
-            assert info["backends"] == ["numpy"]
-            assert info["depth"] == 0
-            assert info["target_batch"] >= 1
-        # Identical traffic, identical rendering.
-        import json
-        assert json.dumps(stats) == json.dumps(again)
 
     def test_single_lane_config_never_batches(self):
         rows = _inputs("prefix-sums", 8, 6)
@@ -381,6 +441,37 @@ class TestConfigAndStats:
         assert stats["counters"]["batches.dispatched"] == 6
         assert stats["counters"]["lanes.padded"] == 0
         assert stats["histograms"]["batch.size"]["max"] == 1.0
+
+
+# -- the same broker contract on the shard fleet ----------------------------------
+
+_one_shard = functools.partial(ShardedServer, shards=1)
+
+
+class TestShardedCoalescingAndIdentity(CoalescingAndIdentityContract):
+    server = _one_shard
+
+
+class TestShardedBackpressure(BackpressureContract):
+    server = _one_shard
+
+
+class TestShardedDeadlinesAndCancellation(DeadlinesAndCancellationContract):
+    server = _one_shard
+
+
+class TestShardedShutdown(ShutdownContract):
+    server = _one_shard
+
+
+class TestShardedStats(StatsContract):
+    server = _one_shard
+    placement_sections = ["shards", "supervisor"]
+
+    def assert_ran_on_numpy(self, stats):
+        assert [info["backends"] for info in stats["shards"].values()] == [
+            ["numpy"]
+        ]
 
 
 # -- throughput acceptance (perf) ------------------------------------------------

@@ -14,14 +14,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec
-from repro.errors import (
-    ServeError,
-    ServerClosedError,
-    ServerOverloadedError,
-)
-from repro.serve import BulkServer, ShardConfig, ShardedServer
+from repro.errors import ServeError, ServerClosedError
+from repro.serve import BulkServer, ShardConfig, ShardedServer, router
 from repro.trace.builder import ProgramBuilder
 from repro.trace.interpreter import run_sequential
+from repro.trace.serialize import program_to_dict
 
 
 def _sequential(program, row: np.ndarray) -> np.ndarray:
@@ -107,6 +104,38 @@ class TestCustomPrograms:
         for row, out in zip(rows, asyncio.run(main())):
             np.testing.assert_array_equal(out, row * 2)
 
+    def test_program_is_serialised_once_per_key(self, monkeypatch):
+        # A custom program ships to the shards as its IR document; the
+        # router must serialise it once per key, not once per submit or
+        # per shard that opens the key.
+        program = _custom_doubler()
+        rows = np.arange(96, dtype=np.float64).reshape(24, 4)
+        serialised = []
+
+        def counting_to_dict(prog):
+            serialised.append(prog.name)
+            return program_to_dict(prog)
+
+        monkeypatch.setattr(router, "program_to_dict", counting_to_dict)
+
+        async def main():
+            # One slot per arena forces overlapping batches onto both shards.
+            config = ShardConfig(
+                shards=2, slots=1, max_batch=4, max_linger=0.0, policy=4,
+            )
+            async with ShardedServer(config) as server:
+                outs = await asyncio.gather(
+                    *(server.submit(program, row) for row in rows)
+                )
+                await server.submit("prefix-sums", np.ones(16), n=16)
+                return outs, server.stats()
+
+        outs, stats = asyncio.run(main())
+        for row, out in zip(rows, outs):
+            np.testing.assert_array_equal(out, row * 2)
+        assert all(info["batches"] for info in stats["shards"].values())
+        assert serialised == ["doubler"]
+
     def test_registered_name_resolves(self):
         program = _custom_doubler()
 
@@ -119,23 +148,8 @@ class TestCustomPrograms:
 
 
 class TestAdmissionAndLifecycle:
-    def test_overload_rejects_beyond_max_pending(self):
-        async def main():
-            config = ShardConfig(
-                shards=1, max_pending=2, max_linger=0.2, max_batch=2
-            )
-            async with ShardedServer(config) as server:
-                results = await asyncio.gather(
-                    *(server.submit("prefix-sums", row, n=16)
-                      for row in _inputs("prefix-sums", 16, 12)),
-                    return_exceptions=True,
-                )
-                return results, server.stats()
-
-        results, stats = asyncio.run(main())
-        rejected = [r for r in results if isinstance(r, ServerOverloadedError)]
-        assert rejected
-        assert stats["counters"]["requests.rejected_overload"] == len(rejected)
+    # Backpressure and stopping an unstarted fleet run against this
+    # placement in test_server.py's broker-contract classes.
 
     def test_submit_after_stop_raises(self):
         async def main():
@@ -148,15 +162,6 @@ class TestAdmissionAndLifecycle:
                 await server.submit(
                     "prefix-sums", _inputs("prefix-sums", 16, 1)[0], n=16
                 )
-
-        asyncio.run(main())
-
-    def test_stop_is_idempotent_and_unstarted_stop_is_clean(self):
-        async def main():
-            server = ShardedServer(shards=1)
-            await server.stop()
-            await server.stop()
-            assert not server.running
 
         asyncio.run(main())
 

@@ -93,7 +93,7 @@ class TestScriptedAutoscaling:
                 supervisor = server._supervisor
                 cfg = server.config
                 trace = max(
-                    s.program.trace_length for s in server._keys.values()
+                    s.program.trace_length for s in server._queues.values()
                 )
                 up, down = autoscale_thresholds(
                     trace, cfg.max_batch, cfg.warp, cfg.latency,
