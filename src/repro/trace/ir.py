@@ -159,6 +159,13 @@ class Program:
         Human-readable identifier (shows up in harness tables).
     meta:
         Free-form metadata (e.g. the problem size ``n``).
+
+    The instructions are immutable, so derived quantities
+    (:attr:`trace_length`, :meth:`address_trace`) are computed once per
+    program and cached in the instance ``__dict__``.  The cache is no
+    field: equality and :func:`~repro.trace.serialize.program_to_dict`
+    ignore it, and :func:`dataclasses.replace` builds a program that
+    counts afresh.
     """
 
     instructions: Tuple[Instruction, ...]
@@ -171,8 +178,18 @@ class Program:
     # -- derived quantities ---------------------------------------------------
     @property
     def trace_length(self) -> int:
-        """``t`` — the number of memory accesses (the sequential time)."""
-        return sum(1 for i in self.instructions if isinstance(i, _MEMORY_INSTRS))
+        """``t`` — the number of memory accesses (the sequential time).
+
+        Counted once per program: every batch the serving tier prices
+        reads it, so it must not cost a walk of the instructions.
+        """
+        cached = self.__dict__.get("_trace_length")
+        if cached is None:
+            cached = sum(
+                1 for i in self.instructions if isinstance(i, _MEMORY_INSTRS)
+            )
+            object.__setattr__(self, "_trace_length", cached)
+        return cached
 
     @property
     def num_instructions(self) -> int:

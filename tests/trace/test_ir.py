@@ -1,5 +1,9 @@
 """IR structure: trace properties, validation, listing, concatenation."""
 
+import dataclasses
+import json
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.trace import (
     instruction_def,
     instruction_uses,
 )
+from repro.trace.serialize import program_to_dict
 
 
 def make_program(instrs, regs=4, words=8, dtype=np.float64):
@@ -72,6 +77,43 @@ class TestDerivedQuantities:
         b = make_program([Load(0, 1)])
         assert a == b
         assert a.address_trace() is not b.address_trace()
+
+
+class TestCachedFacts:
+    """``trace_length`` is counted once; the cache is invisible otherwise."""
+
+    def test_replace_recounts(self):
+        prog = make_program([Load(0, 1), Store(2, 0)])
+        assert prog.trace_length == 2
+        shorter = dataclasses.replace(prog, instructions=(Load(0, 1),))
+        assert shorter.trace_length == 1
+        assert shorter.address_trace().tolist() == [1]
+        assert prog.trace_length == 2
+
+    def test_pickle_round_trip_keeps_value(self):
+        prog = make_program([Load(0, 1), Const(1, 2.0), Store(2, 1)])
+        assert prog.trace_length == 2
+        clone = pickle.loads(pickle.dumps(prog))
+        assert clone == prog
+        assert clone.trace_length == 2
+        fresh = pickle.loads(pickle.dumps(make_program([Load(0, 1)])))
+        assert fresh.trace_length == 1
+
+    def test_equality_ignores_cache(self):
+        a = make_program([Load(0, 1), Store(2, 0)])
+        b = make_program([Load(0, 1), Store(2, 0)])
+        a.trace_length
+        a.address_trace()
+        assert a == b and b == a
+        assert a != make_program([Load(0, 1)])
+
+    def test_ir_document_unchanged_by_cache(self):
+        instrs = [Const(0, 1.0), Load(1, 3), Store(4, 1)]
+        before = json.dumps(program_to_dict(make_program(instrs)))
+        prog = make_program(instrs)
+        prog.trace_length
+        prog.address_trace()
+        assert json.dumps(program_to_dict(prog)) == before
 
 
 class TestUsesDefs:
