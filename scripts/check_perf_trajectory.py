@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """CI perf-trajectory gate: fresh benchmark ratios vs the committed baseline.
 
-Re-runs the serving benchmark (full durations — the committed baseline's
-protocol), then compares the fresh ``derived_x`` speedup ratios against
-the committed trajectory baseline
-(``results/BENCH_serving.json``) with :func:`repro.harness.trajectory.
-compare_trajectories`.  A ratio more than ``--tolerance`` (default 15%)
-below its baseline fails the run; absolute wall times are recorded but
-never gated (they belong to the machine, not the code).
+Re-runs three benchmarks at full durations (the committed baselines'
+protocol) — serving, backends and autofix — then compares each fresh
+run's ``derived_x`` speedup ratios against its committed trajectory
+baseline (``results/BENCH_serving.json``, ``results/BENCH_backends.json``,
+``results/BENCH_autofix.json``) with :func:`repro.harness.trajectory.
+compare_trajectories`.  The backends and autofix gates are skipped when
+their baseline file is absent.  A ratio more than ``--tolerance``
+(default 15%) below its baseline fails the run; absolute wall times are
+recorded but never gated (they belong to the machine, not the code).
 
 Records carrying a ``host_cpus`` field are CPU-scaling claims (e.g. "4
 shards = X× one shard"): they are skipped when the current host has fewer

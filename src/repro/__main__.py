@@ -288,14 +288,13 @@ def cmd_certify_schedule(args) -> int:
         args.arrangement, program.memory_words, args.p
     )
     if args.tile is not None or args.threads is not None:
-        grid = [(args.mode, args.tile, args.threads or 1)]
+        grid = [(args.tile, args.threads or 1)]
     else:
         grid = list(default_schedule_grid())
     failures = 0
-    for native_mode, tile, threads in grid:
+    for tile, threads in grid:
         diags, _, proof = certify_native_schedule(
-            program, arrangement,
-            tile=tile, threads=threads, native_mode=native_mode, w=args.w,
+            program, arrangement, tile=tile, threads=threads, w=args.w
         )
         if proof is not None and proof.certified:
             print(f"  {proof.describe()}")
@@ -912,8 +911,6 @@ def main(argv: list[str] | None = None) -> int:
                    "autotune grid)")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="certify one thread count (with --tile)")
-    p.add_argument("--mode", choices=["tiled", "scalar"], default="tiled",
-                   help="native kernel mode (with --tile)")
     p.set_defaults(fn=cmd_certify_schedule)
 
     p = sub.add_parser(

@@ -15,6 +15,11 @@ This module closes the gap by checking, on the *emitted source text*:
   branch-free ternary of ``Select``/``MIN``/``MAX``, which compiles to a
   conditional move and touches registers only.
 
+The native bulk kernels (``emit_bulk_c``) forward loads, spill registers
+and stage lanes through tile slabs, so their trace and forwarding proof
+is the schedule certifier's (:mod:`repro.analysis.schedule`,
+``OBL-S701``–``OBL-S704``); the control-flow scan runs on them too.
+
 The checks are purely textual — they re-derive the access sequence from the
 source with a bracket-matching scanner rather than trusting the emitter's
 own bookkeeping, which is the point: the emitter being checked must not be
@@ -39,15 +44,12 @@ __all__ = [
 
 #: Recognised shapes of one ``mem[...]`` index expression, each capturing
 #: the compile-time address literal.  These are the exact templates of
-#: ``emit_c`` / ``emit_cuda`` / ``emit_bulk_c`` (sequential, column-wise,
-#: row-wise, native bulk column slab, native bulk row slab); anything else
-#: is an address the static trace cannot account for.
+#: ``emit_c`` / ``emit_cuda`` (sequential, column-wise, row-wise);
+#: anything else is an address the static trace cannot account for.
 _ADDR_FORMS: Tuple[re.Pattern, ...] = (
     re.compile(r"^(\d+)$"),
     re.compile(r"^\(size_t\)(\d+) \* \(size_t\)p \+ \(size_t\)j$"),
     re.compile(r"^\(size_t\)j \* \d+ \+ (\d+)$"),
-    re.compile(r"^(\d+) \* TILE \+ jj$"),
-    re.compile(r"^jj \* STRIDE \+ (\d+)$"),
 )
 
 _REGISTER = re.compile(r"\br\d+\b")
@@ -93,17 +95,13 @@ def extract_accesses(source: str) -> List[Tuple[str, Optional[int], int, str]]:
 
 
 def certify_source(
-    program: Program, source: str, label: str, *, forwarding: bool = False
+    program: Program, source: str, label: str
 ) -> Tuple[List[Diagnostic], List[str]]:
     """Certify one emitted translation unit against ``program``'s trace.
 
     ``label`` names the emission (e.g. ``"emit_c"``, ``"emit_cuda[row]"``)
-    in messages and certificates.  With ``forwarding=True`` the emission is
-    allowed to *elide loads* (the native bulk emitter's load/store
-    forwarding pass reuses in-register values): the certified property
-    becomes "the store sequence matches the static trace exactly and in
-    order, and every elided access is a load" — which pins the memory
-    image, since only stores are memory-visible.
+    in messages and certificates.  The access sequence must be whole
+    copies of the static trace, and the control flow constant-time.
     """
     name = program.name
     out: List[Diagnostic] = []
@@ -138,11 +136,6 @@ def certify_source(
                 f"contains {len(accesses)} mem accesses",
                 program=name,
             ))
-    elif forwarding:
-        if address_ok:
-            d, c = _certify_forwarded(name, label, expected, accesses)
-            out.extend(d)
-            certs.extend(c)
     elif len(accesses) % t != 0:
         address_ok = False
         out.append(diag(
@@ -174,6 +167,17 @@ def certify_source(
                 f"({copies} × t={t}) match the static trace exactly"
             )
 
+    d, c = _certify_control_flow(program, source, label)
+    return out + d, certs + c
+
+
+def _certify_control_flow(
+    program: Program, source: str, label: str
+) -> Tuple[List[Diagnostic], List[str]]:
+    """The ``OBL-E302`` scan: no branch, loop condition or ternary of
+    ``source`` depends on a register or a memory cell, and no ``goto``."""
+    name = program.name
+    out: List[Diagnostic] = []
     branch_ok = True
     for lineno, line in enumerate(source.splitlines(), 1):
         for m in _CONTROL.finditer(line):
@@ -216,92 +220,11 @@ def certify_source(
                 f"{label} line {lineno}: goto in emitted code",
                 program=name,
             ))
-    if branch_ok:
-        certs.append(
-            f"{label}: constant-time control flow — no branch condition "
-            "references a register or memory cell"
-        )
-    return out, certs
-
-
-def _certify_forwarded(
-    name: str,
-    label: str,
-    expected: List[Tuple[str, int]],
-    accesses: List[Tuple[str, Optional[int], int, str]],
-) -> Tuple[List[Diagnostic], List[str]]:
-    """Match a load-forwarded emission against the static trace.
-
-    Greedy ordered-subsequence walk: every emitted access must match the
-    next un-elided trace step, and only *reads* may be skipped over.  A
-    skipped write, an out-of-order access, or a surplus access all fail —
-    so the store sequence (the memory-visible part of the trace) is pinned
-    exactly, per copy of the program body.
-    """
-    out: List[Diagnostic] = []
-    t = len(expected)
-    stores = sum(1 for kind, _ in expected if kind == "W")
-    emitted_w = sum(1 for kind, _, _, _ in accesses if kind == "W")
-    if stores and emitted_w % stores != 0:
-        out.append(diag(
-            "OBL-E303",
-            f"{label}: {emitted_w} emitted stores is not a whole number of "
-            f"trace store sequences ({stores} per copy); the forwarding "
-            f"pass added or dropped stores",
-            program=name,
-        ))
-        return out, []
-
-    i = 0        # position within the current trace copy
-    copy = 0
-    elided = 0
-    for kind, addr, lineno, expr in accesses:
-        while True:
-            if i == t:
-                copy += 1
-                i = 0
-            want_kind, want_addr = expected[i]
-            if (want_kind, want_addr) == (kind, addr):
-                i += 1
-                break
-            if want_kind == "W":
-                out.append(diag(
-                    "OBL-E301",
-                    f"{label} line {lineno} (copy {copy}, trace step {i}): "
-                    f"emitted {kind}({addr}) but the static trace requires "
-                    f"store W({want_addr}) first — forwarding may only "
-                    f"elide loads",
-                    program=name, step=i,
-                ))
-                return out, []
-            elided += 1
-            i += 1
-    # Whatever remains of the final copy must be elidable (reads only).
-    while 0 < i < t:
-        if expected[i][0] == "W":
-            out.append(diag(
-                "OBL-E301",
-                f"{label}: emission ends before trace step {i}'s store "
-                f"W({expected[i][1]}) — forwarding may only elide loads",
-                program=name, step=i,
-            ))
-            return out, []
-        elided += 1
-        i += 1
-    copies = copy + 1 if i == t else copy
-    if stores and copies * stores != emitted_w:
-        out.append(diag(
-            "OBL-E303",
-            f"{label}: {emitted_w} emitted stores across {copies} trace "
-            f"cop(ies) of {stores}; the forwarding pass added or dropped "
-            f"stores",
-            program=name,
-        ))
+    if not branch_ok:
         return out, []
     return out, [
-        f"{label}: {len(accesses)} mem accesses match the static trace in "
-        f"order ({copies} × t={t}, {elided} load(s) forwarded; store "
-        f"sequence exact)"
+        f"{label}: constant-time control flow — no branch condition "
+        "references a register or memory cell"
     ]
 
 
@@ -311,44 +234,66 @@ def certify_program_codegen(
     """Certify every emitter's output for ``program``.
 
     Runs :func:`certify_source` over ``emit_c`` (three function bodies per
-    unit), both ``emit_cuda`` arrangements, and — when ``p`` is given —
-    both native ``emit_bulk_c`` layouts.  Unsupported dtypes are reported
-    as an ``OBL-N602`` note, not a failure.
+    unit) and both ``emit_cuda`` arrangements.  When ``p`` is given, both
+    native ``emit_bulk_c`` layouts — the kernels the native engine
+    compiles for ``p`` lanes — get the schedule certifier's trace and
+    forwarding proof plus the control-flow scan; a proven schedule
+    collapses into one certificate.  Unsupported dtypes are reported as
+    an ``OBL-N602`` note, not a failure.
     """
-    from ...codegen.c_emitter import emit_bulk_c, emit_c
+    from ...codegen.c_emitter import emit_c
     from ...codegen.cuda_emitter import emit_cuda
-
-    emissions: List[Tuple[str, object]] = [
-        ("emit_c", lambda: emit_c(program)),
-        ("emit_cuda[column]", lambda: emit_cuda(program, "column")),
-        ("emit_cuda[row]", lambda: emit_cuda(program, "row")),
-    ]
-    if p is not None:
-        emissions += [
-            ("emit_bulk_c[column]", lambda: emit_bulk_c(program, "column", p=p)),
-            ("emit_bulk_c[row]", lambda: emit_bulk_c(
-                program, "row", p=p, stride=program.memory_words)),
-        ]
 
     out: List[Diagnostic] = []
     certs: List[str] = []
-    for label, emit in emissions:
+
+    def unavailable(label: str, exc: ProgramError) -> None:
+        out.append(diag(
+            "OBL-N602",
+            f"{label} unavailable for this program: {exc}",
+            program=program.name,
+        ))
+
+    for label, emit in (
+        ("emit_c", lambda: emit_c(program)),
+        ("emit_cuda[column]", lambda: emit_cuda(program, "column")),
+        ("emit_cuda[row]", lambda: emit_cuda(program, "row")),
+    ):
         try:
             source = emit()
         except ProgramError as exc:
-            out.append(diag(
-                "OBL-N602",
-                f"{label} unavailable for this program: {exc}",
-                program=program.name,
-            ))
+            unavailable(label, exc)
             continue
-        # The native bulk emitter runs a load/store forwarding pass, so
-        # its emissions are certified in forwarding mode (stores exact,
-        # elisions must be loads); the others remain trace-exact.
-        d, c = certify_source(
-            program, source, label,
-            forwarding=label.startswith("emit_bulk_c"),
+        d, c = certify_source(program, source, label)
+        out.extend(d)
+        certs.extend(c)
+    if p is None:
+        return out, certs
+
+    from ...bulk.arrangement import make_arrangement
+    from ..schedule import certify_bulk_schedule, schedule_config
+
+    for layout in ("column", "row"):
+        label = f"emit_bulk_c[{layout}]"
+        try:
+            config = schedule_config(
+                program, make_arrangement(layout, program.memory_words, p)
+            )
+            source = config.emit(program)
+        except ProgramError as exc:
+            unavailable(label, exc)
+            continue
+        d, c, proof = certify_bulk_schedule(
+            program, source, config, label=label
         )
+        if proof is not None and proof.certified:
+            c = [
+                f"{proof.describe()} — trace-preserving, race-free, "
+                f"forwarding-sound"
+            ]
+        out.extend(d)
+        certs.extend(c)
+        d, c = _certify_control_flow(program, source, label)
         out.extend(d)
         certs.extend(c)
     return out, certs

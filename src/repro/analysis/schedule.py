@@ -8,8 +8,8 @@ the program into instruction chunks, spills registers, forwards loads,
 scatters the slabs back and work-shares the tile loop over OpenMP threads.
 
 This module is a certifier that **proves, per
-``(program, arrangement, tile, threads, native_mode)`` configuration**,
-that the schedule commutes with the arrangement's address map.  Like the
+``(program, arrangement, tile, threads)`` configuration**, that the
+schedule commutes with the arrangement's address map.  Like the
 codegen linter it works on the *emitted source text*, never on the
 emitter's own bookkeeping (the thing being checked must not check itself):
 the schedule is re-derived from the C and replayed symbolically with the
@@ -53,9 +53,9 @@ Three proof obligations (see ``docs/SCHEDULE.md``):
     An elided load is admitted only when the forwarded variable's value
     number equals the current symbolic content of the addressed cell —
     i.e. the load is dominated by a same-address access with no aliasing
-    store in between.  This *subsumes* the codegen certifier's
-    ``_certify_forwarded`` subsequence walk: that check pins the store
-    order; this one additionally proves each elided load's **value**.
+    store in between.  This is the only forwarding proof: the codegen
+    certifier (``certify_program_codegen``) routes its native bulk
+    emissions through it.
 
 What is trusted: the per-statement arithmetic (``(a + b)`` really adds) is
 certified by the emitted-code rules (``OBL-E30x``) plus the bit-identity
@@ -100,15 +100,13 @@ DEFAULT_TILE_GRID: Tuple[int, ...] = (4, 8, 16, 32)
 DEFAULT_THREAD_GRID: Tuple[int, ...] = (1, 4)
 
 
-def default_schedule_grid() -> Tuple[Tuple[str, Optional[int], int], ...]:
-    """``(native_mode, tile, threads)`` configurations ``--schedule`` runs."""
-    grid: List[Tuple[str, Optional[int], int]] = [
-        ("tiled", tile, threads)
+def default_schedule_grid() -> Tuple[Tuple[int, int], ...]:
+    """``(tile, threads)`` configurations ``--schedule`` runs."""
+    return tuple(
+        (tile, threads)
         for tile in DEFAULT_TILE_GRID
         for threads in DEFAULT_THREAD_GRID
-    ]
-    grid.append(("scalar", None, 1))
-    return tuple(grid)
+    )
 
 
 # -- configuration ------------------------------------------------------------
@@ -129,14 +127,31 @@ class ScheduleConfig:
     chunk: int
     threads: int
     stride: int  # row stride (0 for the column layout)
-    forward: bool
-    mode: str  # "tiled" | "scalar"
 
     @property
     def slab_words(self) -> int:
         """Words of one tile's data slab: the layout's map over one tile."""
         lane = self.words if self.layout == "column" else self.stride
         return lane * self.tile
+
+    def emit(self, program: Program) -> str:
+        """The bulk kernel source for this schedule.
+
+        The one emission call: :func:`~repro.codegen.compile.compile_bulk`
+        compiles exactly this text and :func:`certify_native_schedule`
+        proves it.
+        """
+        from ..codegen.c_emitter import emit_bulk_c
+
+        return emit_bulk_c(
+            program,
+            self.layout,
+            p=self.p,
+            stride=self.stride,
+            chunk=self.chunk,
+            tile=self.tile,
+            threads=self.threads,
+        )
 
 
 def schedule_config(
@@ -145,26 +160,22 @@ def schedule_config(
     *,
     tile: Optional[int] = None,
     threads: int = 1,
-    native_mode: str = "tiled",
     chunk: Optional[int] = None,
 ) -> ScheduleConfig:
     """Derive the full schedule for a ``(program, arrangement)`` request.
 
-    Mirrors :func:`repro.codegen.compile.compile_bulk`'s parameter
-    resolution — same defaults per mode — but stays pure: no compiler
-    probe, no thread degrade, no stack-budget check (the budget is a
-    resource limit the engine enforces, not a property of the schedule).
-    The certifier proves the *requested* kernel; the OpenMP-less degrade
-    compiles the identical source without the pragma, so the proof covers
-    it too.
+    The one parameter resolution of the native backend:
+    :func:`repro.codegen.compile.compile_bulk` builds its kernel from
+    this config, and the certifier proves it.  It stays pure: no
+    compiler probe, no thread degrade, no stack-budget check (the budget
+    is a resource limit the engine enforces, not a property of the
+    schedule).  A toolchain without OpenMP compiles the ``threads=1``
+    config instead, which the default grid certifies too.
     """
-    from ..codegen.compile import BULK_DEFAULT_CHUNK, _SCALAR_CHUNK, default_tile
+    from ..codegen.compile import BULK_DEFAULT_CHUNK, default_tile
 
-    if native_mode not in ("tiled", "scalar"):
-        raise ProgramError(f"unknown native kernel mode {native_mode!r}")
-    scalar = native_mode == "scalar"
     if chunk is None:
-        chunk = _SCALAR_CHUNK if scalar else BULK_DEFAULT_CHUNK
+        chunk = BULK_DEFAULT_CHUNK
     name = getattr(arrangement, "name", str(arrangement))
     if name == "column":
         layout, stride = "column", 0
@@ -183,8 +194,6 @@ def schedule_config(
         chunk=int(chunk),
         threads=max(1, int(threads)),
         stride=int(stride),
-        forward=not scalar,
-        mode=native_mode,
     )
 
 
@@ -239,7 +248,7 @@ _DEFINE_RE = re.compile(
 )
 _HEADER_RE = re.compile(
     r"/\* schedule: layout=(\w+) p=(\d+) words=(\d+) stride=(\d+) "
-    r"chunk=(\d+) tile=(\d+) threads=(\d+) forward=([01]) \*/"
+    r"chunk=(\d+) tile=(\d+) threads=(\d+) \*/"
 )
 _CHUNK_START = re.compile(r"^static void chunk_(\d+)\(")
 _LANE_LOOP = "for (long jj = 0; jj < TILE; ++jj) {"
@@ -994,7 +1003,7 @@ def certify_bulk_schedule(
     if label is None:
         label = (
             f"schedule[{config.layout},tile={config.tile},"
-            f"threads={config.threads},mode={config.mode}]"
+            f"threads={config.threads}]"
         )
     out: List[Diagnostic] = []
     certs: List[str] = []
@@ -1028,7 +1037,6 @@ def certify_bulk_schedule(
             "chunk": int(header.group(5)),
             "tile": int(header.group(6)),
             "threads": int(header.group(7)),
-            "forward": bool(int(header.group(8))),
         }
         for key in ("layout", "p", "words", "stride"):
             if claim[key] != getattr(config, key):
@@ -1038,7 +1046,7 @@ def certify_bulk_schedule(
                     f"engine allocates for {key}={getattr(config, key)}",
                     program=name,
                 ))
-        for key in ("chunk", "tile", "threads", "forward"):
+        for key in ("chunk", "tile", "threads"):
             if claim[key] != getattr(config, key):
                 out.append(diag(
                     "OBL-S701",
@@ -1315,13 +1323,12 @@ def certify_bulk_schedule(
             f"{program.trace_length} accesses with every store's value "
             f"equal to the sequential reference by value number"
         )
-        if config.forward:
-            certs.append(
-                f"{label}: forwarding sound — {elided} elided load(s), "
-                f"each proven value-equal to the addressed cell at its "
-                f"program point (dominating same-address access, no "
-                f"aliasing store between)"
-            )
+        certs.append(
+            f"{label}: forwarding sound — {elided} elided load(s), "
+            f"each proven value-equal to the addressed cell at its "
+            f"program point (dominating same-address access, no "
+            f"aliasing store between)"
+        )
 
     # 9. Span cross-check: the parsed decomposition's stage count must
     #    match the analytic closed form (two independent derivations).
@@ -1373,7 +1380,6 @@ def certify_native_schedule(
     *,
     tile: Optional[int] = None,
     threads: int = 1,
-    native_mode: str = "tiled",
     chunk: Optional[int] = None,
     w: Optional[int] = None,
 ) -> Tuple[List[Diagnostic], List[str], Optional[ScheduleProof]]:
@@ -1383,25 +1389,11 @@ def certify_native_schedule(
     ``--schedule`` lint family and the autotuner's refuse-uncertified
     gate.  Unsupported dtypes/arrangements yield an ``OBL-N602`` note.
     """
-    from ..codegen.c_emitter import emit_bulk_c
-
     try:
         config = schedule_config(
-            program, arrangement,
-            tile=tile, threads=threads, native_mode=native_mode,
-            chunk=chunk,
+            program, arrangement, tile=tile, threads=threads, chunk=chunk
         )
-        source = emit_bulk_c(
-            program,
-            config.layout,
-            p=config.p,
-            stride=config.stride,
-            chunk=config.chunk,
-            tile=config.tile,
-            threads=config.threads,
-            simd=False if native_mode == "scalar" else None,
-            forward=config.forward,
-        )
+        source = config.emit(program)
     except ProgramError as exc:
         note = diag(
             "OBL-N602",
@@ -1419,11 +1411,11 @@ def certify_schedule_family(
     arrangement: Union[str, object] = "column",
     p: int,
     w: Optional[int] = None,
-    grid: Optional[Sequence[Tuple[str, Optional[int], int]]] = None,
+    grid: Optional[Sequence[Tuple[Optional[int], int]]] = None,
 ) -> Tuple[List[Diagnostic], List[str]]:
     """The lint analysis family: certify the default schedule grid.
 
-    One proof per ``(native_mode, tile, threads)`` grid point; the
+    One proof per ``(tile, threads)`` grid point; the
     per-point certificates are collapsed into one family certificate when
     everything proves (verbose reports stay readable across a 55-program
     registry sweep), while failures surface individually.
@@ -1438,10 +1430,9 @@ def certify_schedule_family(
     certs: List[str] = []
     proofs: List[ScheduleProof] = []
     notes = 0
-    for native_mode, tile, threads in (grid or default_schedule_grid()):
+    for tile, threads in (grid or default_schedule_grid()):
         d, c, proof = certify_native_schedule(
-            program, arr,
-            tile=tile, threads=threads, native_mode=native_mode, w=w,
+            program, arr, tile=tile, threads=threads, w=w
         )
         if proof is None:
             notes += 1
@@ -1458,7 +1449,7 @@ def certify_schedule_family(
             f"; spans {sorted(spans)} stage(s)" if spans else ""
         )
         certs.append(
-            f"schedule: {len(proofs)} (mode, tile, threads) "
+            f"schedule: {len(proofs)} (tile, threads) "
             f"configuration(s) certified on the "
             f"{getattr(arr, 'name', arr)} arrangement at p={arr.p} — "
             f"trace-preserving, race-free, forwarding-sound{span}"

@@ -99,11 +99,9 @@ class TileShapeProposal:
     p:
         Lane count the kernel is sized for.
     tile:
-        Lanes per tile (``None`` = the mode's default).
+        Lanes per tile (``None`` = the library default).
     threads:
         OpenMP thread count the schedule partitions across.
-    native_mode:
-        ``"tiled"`` or ``"scalar"``.
     description:
         Human-readable one-liner for reports and incidents.
     """
@@ -113,7 +111,6 @@ class TileShapeProposal:
     p: int
     tile: Optional[int]
     threads: int
-    native_mode: str
     description: str
 
     @property
@@ -129,13 +126,12 @@ def propose_tile_shapes(
     p: int,
     tiles: Sequence[int] = (),
     threads: Sequence[int] = (1,),
-    native_mode: str = "tiled",
 ) -> List[TileShapeProposal]:
     """Materialise the candidate tile/thread grid as proposals.
 
     ``tiles``/``threads`` are the candidate axes (typically the
     autotuner's); the cross product is emitted in deterministic
-    (tile, threads) order.  An empty ``tiles`` proposes the mode's
+    (tile, threads) order.  An empty ``tiles`` proposes the library
     default tile once per thread count.
     """
     out: List[TileShapeProposal] = []
@@ -147,10 +143,9 @@ def propose_tile_shapes(
                 p=int(p),
                 tile=None if tile is None else int(tile),
                 threads=int(t),
-                native_mode=native_mode,
                 description=(
-                    f"{native_mode} kernel shape tile="
-                    f"{'default' if tile is None else tile} threads={t} "
+                    f"kernel shape tile={'default' if tile is None else tile} "
+                    f"threads={t} "
                     f"on {arrangement} at p={p}"
                 ),
             ))

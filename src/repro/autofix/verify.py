@@ -144,7 +144,6 @@ def verify_tile_shape(
         arr,
         tile=proposal.tile,
         threads=proposal.threads,
-        native_mode=proposal.native_mode,
         w=w,
     )
     if proof is None or not proof.certified:

@@ -188,11 +188,6 @@ class BulkExecutor:
         to ``REPRO_NATIVE_THREADS`` / autotuner / 1.  Requests beyond the
         toolchain's capability (no ``-fopenmp``) degrade cleanly to a
         single-thread kernel.
-    native_mode:
-        ``"tiled"`` (default: forwarded, vectorizer-hinted emission) or
-        ``"scalar"`` (the unforwarded chunked emission at the
-        pre-tiling flag set — kept as an honest baseline for benchmarks
-        and for bit-identity cross-checks).  Bit-identical either way.
     """
 
     def __init__(
@@ -205,7 +200,6 @@ class BulkExecutor:
         guard: Union[None, str, GuardPolicy] = None,
         tile: Optional[int] = None,
         threads: Optional[int] = None,
-        native_mode: str = "tiled",
     ) -> None:
         if isinstance(arrangement, str):
             # Autofix promotions: a proven, canaried, strictly cheaper
@@ -233,11 +227,6 @@ class BulkExecutor:
             raise ExecutionError(f"tile must be >= 1, got {self.tile}")
         if self.threads is not None and self.threads < 1:
             raise ExecutionError(f"threads must be >= 1, got {self.threads}")
-        if native_mode not in ("tiled", "scalar"):
-            raise ExecutionError(
-                f"native_mode must be 'tiled' or 'scalar', got {native_mode!r}"
-            )
-        self.native_mode = native_mode
         self.rounds = 0
         self._stored_first = _stored_first_words(program)
         self._zero_ranges_cache: dict = {}
@@ -261,7 +250,7 @@ class BulkExecutor:
                 from ..codegen.compile import compile_bulk
 
                 tile_, threads_ = self.tile, self.threads
-                if tile_ is None and threads_ is None and native_mode == "tiled":
+                if tile_ is None and threads_ is None:
                     from .autotune import load_tuning
 
                     tuned = load_tuning(program, self.arrangement)
@@ -272,7 +261,6 @@ class BulkExecutor:
                     self.arrangement,
                     tile=tile_,
                     threads=threads_ if threads_ is not None else 1,
-                    mode=native_mode,
                 )
                 self.tile = self._native.tile
                 self.threads = self._native.threads

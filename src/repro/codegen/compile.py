@@ -18,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,13 +34,7 @@ from ..errors import (
 from ..reliability import faults
 from ..reliability.incidents import record_incident
 from ..trace.ir import Program
-from .c_emitter import (
-    BULK_KERNEL_SYMBOL,
-    _ctype,
-    c_symbol_names,
-    emit_bulk_c,
-    emit_c,
-)
+from .c_emitter import BULK_KERNEL_SYMBOL, _ctype, c_symbol_names, emit_c
 from .cache import cached_library
 
 __all__ = [
@@ -60,26 +54,17 @@ __all__ = [
     "resolve_tile",
 ]
 
-#: Flags for the tiled bulk kernels: ``-O3`` pays off on the forwarded
-#: emission (the forwarding pass already bounded the code size per loop),
+#: Flags for the bulk kernels: ``-O3`` pays off on the forwarded emission
+#: (the forwarding pass already bounded the code size per loop),
 #: ``-march=native`` unlocks the host's vector width, and ``-std=c99``
 #: keeps FP contraction off, preserving bit-equality with the NumPy engine.
 _BULK_FLAGS = ("-std=c99", "-O3", "-march=native", "-fPIC", "-shared")
-
-#: The PR-2-era flags, kept for the ``mode="scalar"`` baseline emission so
-#: ``results/BENCH_backends.json`` measures the tiled kernel against an
-#: honest reproduction of the original native backend.
-_BULK_FLAGS_SCALAR = (
-    "-std=c99", "-O1", "-ftree-vectorize", "-march=native", "-fPIC", "-shared"
-)
 
 #: Defaults of the tiled emission: 512 instructions per chunk function
 #: and 8-lane tiles, whose slab (OPT n=32: 2048 words x 8 lanes = 128 KiB)
 #: stays L2-resident while every lane loop keeps a full vector's trip count.
 BULK_DEFAULT_CHUNK = 512
 BULK_DEFAULT_TILE = 8
-
-_SCALAR_CHUNK = 64
 
 #: Stack budget of one tile's slabs (data + registers).  Both live on the
 #: stack of whichever thread runs the tile, so a larger request raises
@@ -439,7 +424,6 @@ def compile_bulk(
     chunk: Optional[int] = None,
     tile: Optional[int] = None,
     threads: int = 1,
-    mode: str = "tiled",
 ) -> CompiledBulkKernel:
     """Compile the native bulk kernel for ``program`` on ``arrangement``.
 
@@ -450,13 +434,15 @@ def compile_bulk(
     content-addressed: the first call pays the compiler, every later call
     (any process) loads the cached shared object.
 
+    The parameters resolve through
+    :func:`repro.analysis.schedule.schedule_config`, and the source is
+    that config's :meth:`~repro.analysis.schedule.ScheduleConfig.emit` —
+    byte for byte the kernel :func:`~repro.analysis.schedule.
+    certify_native_schedule` proves for the same request.
+
     ``tile`` is the lane count of one tile's stack slab.  An explicit tile
     whose slabs exceed :data:`SLAB_BUDGET_BYTES` raises
     :class:`~repro.errors.SlabBudgetError`; the default shrinks to fit.
-
-    ``mode="tiled"`` (default) is the forwarded, SIMD-hinted emission at
-    ``-O3``; ``mode="scalar"`` is the full-spill emission at the original
-    flags — the benchmark baseline, and a bisection aid.
     ``threads > 1`` requires the OpenMP capability probe to pass
     (:func:`have_openmp`); when it fails the request degrades cleanly to a
     single-thread kernel rather than a compile error.
@@ -466,33 +452,20 @@ def compile_bulk(
             f"no native bulk kernel for dtype {program.dtype} on "
             f"arrangement {getattr(arrangement, 'name', arrangement)!r}"
         )
-    if mode not in ("tiled", "scalar"):
-        raise ExecutionError(f"unknown native kernel mode {mode!r}")
-    scalar = mode == "scalar"
-    if chunk is None:
-        chunk = _SCALAR_CHUNK if scalar else BULK_DEFAULT_CHUNK
-    tile = resolve_tile(program, arrangement, tile)
-    if arrangement.name == "column":
-        layout, stride = "column", 0
-    else:
-        layout = "row"
-        stride = getattr(arrangement, "stride", arrangement.words)
-    threads = max(1, int(threads))
-    if threads > 1 and not have_openmp():
-        threads = 1  # clean single-thread degrade: same kernel, no pragma
-    source = emit_bulk_c(
-        program,
-        layout,
-        p=arrangement.p,
-        stride=stride,
-        chunk=chunk,
-        tile=tile,
+    from ..analysis.schedule import schedule_config
+
+    config = schedule_config(
+        program, arrangement,
+        tile=resolve_tile(program, arrangement, tile),
         threads=threads,
-        simd=False if scalar else None,
-        forward=not scalar,
+        chunk=chunk,
     )
-    flags = _BULK_FLAGS_SCALAR if scalar else _BULK_FLAGS
-    if threads > 1:
+    if config.threads > 1 and not have_openmp():
+        # Clean single-thread degrade: the threads=1 kernel.
+        config = replace(config, threads=1)
+    source = config.emit(program)
+    flags = _BULK_FLAGS
+    if config.threads > 1:
         flags = flags + ("-fopenmp",)
     try:
         lib, key = _load(source, flags)
@@ -505,8 +478,8 @@ def compile_bulk(
         p=arrangement.p,
         _lib=lib,
         cache_key=key,
-        tile=tile,
-        threads=threads,
+        tile=config.tile,
+        threads=config.threads,
     )
 
 

@@ -7,8 +7,9 @@ from repro.analysis.lint import (
     certify_source,
     extract_accesses,
 )
+from repro.codegen import c_emitter
 from repro.codegen.c_emitter import emit_c
-from repro.trace.ir import Binary, Load, Program, Store
+from repro.trace.ir import Binary, Const, Load, Program, Store
 from repro.trace.ops import BinaryOp
 
 
@@ -39,11 +40,9 @@ class TestExtractAccesses:
         src = (
             "r0 = mem[(size_t)5 * (size_t)p + (size_t)j];\n"
             "mem[(size_t)j * 16 + 7] = r0;\n"
-            "r1 = mem[2 * TILE + jj];\n"
-            "mem[jj * STRIDE + 9] = r1;\n"
         )
         assert [(k, a) for k, a, _, _ in extract_accesses(src)] == \
-            [("R", 5), ("W", 7), ("R", 2), ("W", 9)]
+            [("R", 5), ("W", 7)]
 
     def test_unknown_form_yields_none(self):
         acc = extract_accesses("r0 = mem[idx];\n")
@@ -133,3 +132,27 @@ class TestCertifyProgramCodegen:
         diags, certs = certify_program_codegen(make_program(np.float32))
         assert set(rules_of(diags)) == {"OBL-N602"}
         assert certs == []
+
+    def test_bulk_forwarding_past_a_store_is_S704(self, monkeypatch):
+        # Load(2, 0) after Store(0, 1) is emitted as `r2 = r1`; forwarding
+        # from r0 reads word 0's pre-store value.  The store sequence is
+        # untouched, so only a value-level forwarding proof rejects it.
+        prog = Program(
+            instructions=(
+                Load(0, 0), Const(1, 5), Store(0, 1),
+                Load(2, 0), Binary(BinaryOp.ADD, 3, 2, 1), Store(1, 3),
+            ),
+            num_registers=4, memory_words=4, dtype=np.dtype(np.int64),
+            name="forward-mutant",
+        )
+        real = c_emitter.emit_bulk_c
+
+        def mutant(*args, **kwargs):
+            source = real(*args, **kwargs)
+            assert "r2 = r1;" in source
+            return source.replace("r2 = r1;", "r2 = r0;", 1)
+
+        monkeypatch.setattr(c_emitter, "emit_bulk_c", mutant)
+        diags, certs = certify_program_codegen(prog, p=64)
+        assert "OBL-S704" in rules_of(diags)
+        assert not any("forwarding-sound" in c for c in certs)

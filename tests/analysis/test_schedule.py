@@ -3,9 +3,8 @@
 The mutation suite (``test_schedule_mutations.py``) shows seeded bugs are
 caught; this file shows the complement — every schedule the backend
 actually emits, across the registry, the default autotune grid, all three
-arrangements, chunked programs, forwarded loads, float dtypes and the
-scalar mode, is certified trace-preserving, race-free and
-forwarding-sound, and the span cross-check agrees with the analytic
+arrangements, chunked programs, forwarded loads and float dtypes, is
+certified trace-preserving, race-free and forwarding-sound, and the span cross-check agrees with the analytic
 closed form.
 """
 
@@ -23,6 +22,7 @@ from repro.analysis.schedule import (
 )
 from repro.bulk.arrangement import make_arrangement
 from repro.codegen.c_emitter import emit_bulk_c
+from repro.codegen.compile import have_compiler
 from repro.errors import MachineConfigError
 from repro.machine.analytic import tiled_stage_count
 from repro.trace.ir import Binary, Const, Load, Program, Store
@@ -90,16 +90,6 @@ class TestCertifyNative:
             assert _errors(diags) == [], name
             assert proof.certified, name
 
-    def test_scalar_mode_certifies(self):
-        prog = _program()
-        arr = make_arrangement("column", prog.memory_words, 32)
-        diags, _, proof = certify_native_schedule(
-            prog, arr, native_mode="scalar"
-        )
-        assert _errors(diags) == []
-        assert proof.certified
-        assert proof.elided_loads == 0  # scalar mode never forwards
-
     def test_float_program_certifies(self):
         prog = Program(
             name="sched-float",
@@ -163,8 +153,7 @@ class TestFamilyAndGrid:
 
         assert DEFAULT_TILE_GRID == _DEFAULT_TILES
         grid = default_schedule_grid()
-        assert ("scalar", None, 1) in grid
-        assert len(grid) == len(DEFAULT_TILE_GRID) * 2 + 1
+        assert len(grid) == len(DEFAULT_TILE_GRID) * 2
 
     def test_family_certifies_and_collapses_certificates(self):
         prog = _program()
@@ -172,7 +161,7 @@ class TestFamilyAndGrid:
             prog, arrangement="column", p=64, w=32
         )
         assert _errors(diags) == []
-        assert len(certs) == 1 and "9 (mode, tile, threads)" in certs[0]
+        assert len(certs) == 1 and "8 (tile, threads)" in certs[0]
 
     @pytest.mark.parametrize(
         "name", sorted({s.name for s in all_specs()})[:6]
@@ -221,7 +210,7 @@ class TestEmitterHeader:
         )
         source = emit_bulk_c(
             prog, "column", p=32, stride=0, chunk=config.chunk,
-            tile=8, threads=1, simd=False,
+            tile=8, threads=1,
         )
         assert "/* schedule: layout=column" in source
         diags, _, proof = certify_bulk_schedule(prog, source, config)
@@ -232,3 +221,43 @@ class TestEmitterHeader:
         diags, _, proof = certify_bulk_schedule(prog, lying, config)
         assert [d.rule_id for d in _errors(diags)] == ["OBL-S703"]
         assert not proof.certified
+
+
+@pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+class TestCompiledIsProven:
+    @pytest.mark.parametrize("arrangement, request_", [
+        ("column", {}),                             # every default
+        ("column", dict(tile=16, chunk=2)),         # explicit, multi-chunk
+        ("padded-row", dict(tile=4)),               # padded row stride
+    ])
+    def test_compiled_source_is_the_proven_source(
+        self, arrangement, request_, monkeypatch, tmp_path
+    ):
+        # compile_bulk and certify_native_schedule resolve one request
+        # through one ScheduleConfig: the compiler sees byte for byte the
+        # source the certifier proves.
+        import repro.analysis.schedule as schedule_mod
+        import repro.codegen.compile as compile_mod
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        compiled, proven = [], []
+        real_load, real_certify = compile_mod._load, schedule_mod.certify_bulk_schedule
+
+        def load(source, flags):
+            compiled.append(source)
+            return real_load(source, flags)
+
+        def certify(program, source, config, **kwargs):
+            proven.append(source)
+            return real_certify(program, source, config, **kwargs)
+
+        monkeypatch.setattr(compile_mod, "_load", load)
+        monkeypatch.setattr(schedule_mod, "certify_bulk_schedule", certify)
+        prog = _program()
+        arr = make_arrangement(arrangement, prog.memory_words, 37)
+        kernel = compile_mod.compile_bulk(prog, arr, **request_)
+        kernel.close()
+        diags, _, proof = certify_native_schedule(prog, arr, **request_)
+        assert _errors(diags) == [] and proof.certified
+        assert len(compiled) == len(proven) == 1
+        assert compiled[0] == proven[0]

@@ -27,7 +27,6 @@ import pytest
 
 from repro.analysis.schedule import certify_bulk_schedule, schedule_config
 from repro.bulk.arrangement import make_arrangement
-from repro.codegen.c_emitter import emit_bulk_c
 from repro.trace.ir import Binary, Const, Load, Program, Store
 from repro.trace.ops import BinaryOp
 
@@ -61,18 +60,7 @@ def _emit(program, *, chunk=None, threads=THREADS):
         threads=threads,
         chunk=chunk,
     )
-    source = emit_bulk_c(
-        program,
-        config.layout,
-        p=config.p,
-        stride=config.stride,
-        chunk=config.chunk,
-        tile=config.tile,
-        threads=config.threads,
-        simd=False,
-        forward=config.forward,
-    )
-    return source, config
+    return config.emit(program), config
 
 
 def _rules(program, source, config):

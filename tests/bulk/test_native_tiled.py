@@ -24,6 +24,7 @@ import pytest
 from repro.algorithms.registry import all_specs, get_spec
 from repro.bulk import BulkExecutor, bulk_run
 from repro.bulk import arena
+from repro.bulk.arrangement import make_arrangement
 from repro.bulk.autotune import (
     autotune_native,
     autotune_stats,
@@ -31,7 +32,7 @@ from repro.bulk.autotune import (
     tuning_path,
 )
 from repro.codegen.cache import cache_stats
-from repro.codegen.compile import have_compiler, have_openmp
+from repro.codegen.compile import compile_bulk, have_compiler, have_openmp
 from repro.errors import ExecutionError
 from repro.reliability.incidents import clear_incidents, incidents
 
@@ -74,7 +75,6 @@ def test_registry_native_variants_bit_identical(spec):
         program, p, inputs, backend="numpy", fuse=False
     )
     variants = [
-        dict(native_mode="scalar"),
         dict(tile=5),                 # non-divisor of 23
         dict(tile=64),                # tile > p: one partial tile
         dict(tile=8, threads=2),      # threaded (degrades sans OpenMP)
@@ -88,6 +88,21 @@ def test_registry_native_variants_bit_identical(spec):
             mem, reference,
             err_msg=f"{spec.name} native {kwargs} diverged from NumPy",
         )
+    # 64-instruction chunks: most registry programs fit the default
+    # 512-instruction chunk, so this leg is what drives their registers
+    # across chunk boundaries through the spill slab.
+    kernel = compile_bulk(
+        program, make_arrangement("column", program.memory_words, p), chunk=64
+    )
+    try:
+        out = np.empty((p, program.memory_words), dtype=program.dtype)
+        kernel.run_bulk(np.ascontiguousarray(inputs, dtype=program.dtype), out)
+    finally:
+        kernel.close()
+    np.testing.assert_array_equal(
+        out.T, reference,
+        err_msg=f"{spec.name} native chunk=64 diverged from NumPy",
+    )
 
 
 @needs_cc
@@ -185,8 +200,6 @@ def test_invalid_knobs_raise():
         BulkExecutor(program, 8, tile=0)
     with pytest.raises(ExecutionError):
         BulkExecutor(program, 8, threads=-1)
-    with pytest.raises(ExecutionError):
-        BulkExecutor(program, 8, native_mode="vectorized")
 
 
 # -- run_trimmed must not copy ------------------------------------------------
