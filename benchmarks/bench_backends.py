@@ -16,9 +16,12 @@ The native kernel gathers each tile of lanes from the row-major inputs
 into a tile-private stack slab and scatters it into the output image, so
 its data movement happens inside the kernel.
 
-The two gated ratios compare legs of the same run: ``native-tiled`` is
+The three gated ratios compare legs of the same run: ``native-tiled`` is
 fused NumPy execute / tiled execute, ``native-threaded`` is tiled
-execute / threaded execute.
+execute / threaded execute, and ``guard-replay`` is the spot guard's
+reference cost: replaying its 4 sampled lanes on a fused NumPy executor
+/ through the program's IR replay (:mod:`repro.trace.replay`, what the
+guard runs).
 
 Two timings are reported per engine.  ``execute`` is the engine phase —
 for the NumPy engines the program alone, for the native kernels the
@@ -56,6 +59,8 @@ from repro.codegen.compile import (
     have_openmp,
     simd_isa,
 )
+from repro.reliability import GuardPolicy
+from repro.trace.replay import replay_lanes
 
 try:
     from conftest import run_pedantic
@@ -116,6 +121,26 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _guard_replays(program, inputs, repeats: int = 9) -> tuple:
+    """Best-of seconds of the guard's 4-lane reference: fused NumPy, IR replay.
+
+    The two legs alternate within each repeat, so host noise hits both.
+    """
+    rows = inputs[GuardPolicy().sample_lanes(len(inputs))]
+    numpy_ref = BulkExecutor(program, len(rows), "column")
+    try:
+        want = numpy_ref.run(rows).outputs.copy()
+        got = replay_lanes(program, rows)  # compiles the replay once
+        np.testing.assert_array_equal(got, want)
+        numpy_t, replay_t = [], []
+        for _ in range(repeats):
+            numpy_t.append(_best_of(lambda: numpy_ref.run(rows), 1))
+            replay_t.append(_best_of(lambda: replay_lanes(program, rows), 1))
+    finally:
+        numpy_ref.close()
+    return len(rows), min(numpy_t), min(replay_t)
 
 
 def _seed_run(ex, inputs) -> np.ndarray:
@@ -214,6 +239,14 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
             f"native-tiled ({os.cpu_count()} host cpus)"
         )
 
+    lanes, numpy_replay, ir_replay = _guard_replays(program, inputs)
+    lines.append(
+        f"guard replay: {lanes} sampled lanes through the IR replay "
+        f"{ir_replay * 1e3:.2f} ms vs a fused NumPy executor "
+        f"{numpy_replay * 1e3:.2f} ms = {numpy_replay / ir_replay:.2f}x "
+        f"(bit-identical)"
+    )
+
     stats = made["fused"].fusion_stats
     lines.append(
         f"fusion: {stats.instructions} instructions -> {stats.emitted_ops} "
@@ -269,6 +302,11 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
                 bench="backends", workload="opt", n=n, p=p, backend=name,
                 shards=0, method="end-to-end", seconds=e2e_t[name],
             ))
+        records.append(bench_record(
+            bench="backends", workload="opt", n=n, p=lanes,
+            backend="guard-replay", shards=0, method="execute",
+            seconds=ir_replay, derived_x=numpy_replay / ir_replay,
+        ))
         write_bench(json_path, records)
     return text
 

@@ -43,6 +43,7 @@ from ..reliability.incidents import record_incident
 from ..reliability.quarantine import quarantine_key
 from ..trace.ir import Binary, Const, Load, Program, Select, Store, Unary
 from ..trace.ops import BINARY_UFUNCS, UNARY_UFUNCS
+from ..trace.replay import replay_lanes
 from . import arena
 from .arrangement import Arrangement, make_arrangement
 from .fusion import FusionStats, compile_fused
@@ -167,7 +168,8 @@ class BulkExecutor:
         ``None``/``"off"`` (trust the backend), ``"spot"`` or a
         :class:`~repro.reliability.GuardPolicy`.  When the native backend
         is guarded, every :meth:`run` re-executes a deterministic sample of
-        lanes on the NumPy engine and demands bit identity; a mismatch —
+        lanes through the program's IR replay (:mod:`repro.trace.replay`)
+        and demands bit identity; a mismatch —
         or a kernel that fails to load or crashes — quarantines the cache
         key, records an incident, and degrades the executor to the NumPy
         backend (when ``policy.fallback``, the default).  A ``backend="auto"``
@@ -233,7 +235,6 @@ class BulkExecutor:
         self._native = None
         self._fused = None
         self._steps: Optional[List[Callable[[], None]]] = None
-        self._guard_refs: dict = {}
         self._pad_blocks: dict = {}
         self._closed = False
         self._mem: Optional[np.ndarray] = None
@@ -602,9 +603,6 @@ class BulkExecutor:
         native, self._native = self._native, None
         if native is not None:
             native.close()
-        for ref in self._guard_refs.values():
-            ref.close()
-        self._guard_refs = {}
         self._steps = None
         self._fused = None
         self._pad_blocks = {}
@@ -675,19 +673,19 @@ class BulkExecutor:
             outputs[:, 0] += 1
         if policy is not None and policy.checking:
             lanes = policy.sample_lanes(self.p, self.rounds)
-            reference = self._guard_reference(len(lanes)).run(arr[lanes]).outputs
+            reference = replay_lanes(self.program, arr[lanes])
             if reference.tobytes() != outputs[lanes].tobytes():
                 key = self._native.cache_key or None
                 if not policy.fallback:
                     raise BackendError(
                         f"guard mismatch: native kernel disagrees with the "
-                        f"NumPy engine on lanes {lanes}",
+                        f"IR replay on lanes {lanes}",
                         key=key,
                     )
                 self._degrade(
                     "guard-mismatch",
-                    f"sampled lanes {lanes} differ bitwise from the NumPy "
-                    f"engine",
+                    f"sampled lanes {lanes} differ bitwise from the IR "
+                    f"replay",
                     key=key,
                 )
                 return self.run(arr)
@@ -708,16 +706,6 @@ class BulkExecutor:
         )
         self.backend = "numpy"
         self._init_numpy()
-
-    def _guard_reference(self, lanes: int) -> "BulkExecutor":
-        """A small NumPy executor re-running ``lanes`` sampled inputs."""
-        ref = self._guard_refs.get(lanes)
-        if ref is None:
-            ref = BulkExecutor(
-                self.program, lanes, "column", backend="numpy"
-            )
-            self._guard_refs[lanes] = ref
-        return ref
 
     def memory_view(self) -> np.ndarray:
         """The raw arranged buffer after the last run (read-only use).

@@ -14,8 +14,9 @@ direction: from a traced :class:`Program` it emits
 
 The emitted source is self-contained C99; :mod:`repro.codegen.compile`
 builds it with the system compiler and cross-checks it against the Python
-engine.  Integer programs use ``int64_t`` with helpers reproducing NumPy's
-floor-division/modulo semantics.
+engine.  Integer programs use ``int64_t`` with branch-free helpers that
+implement the semantic table of :mod:`repro.trace.replay` (NumPy's
+wraparound, divisor and shift-count results).
 """
 
 from __future__ import annotations
@@ -49,17 +50,51 @@ _PRELUDE = """\
 #include <math.h>
 #include <stddef.h>
 
+/* int64 semantics of repro.trace.replay's table (NumPy's): wraparound
+ * through uint64_t; a zero divisor gives 0; MIN / -1 wraps to MIN and
+ * MIN % -1 is 0; shift counts outside [0, 64) give 0 (SHR of a negative
+ * value: -1).  Every helper is branch-free. */
+static inline int64_t i64_add(int64_t a, int64_t b) {{
+    return (int64_t)((uint64_t)a + (uint64_t)b);
+}}
+static inline int64_t i64_sub(int64_t a, int64_t b) {{
+    return (int64_t)((uint64_t)a - (uint64_t)b);
+}}
+static inline int64_t i64_mul(int64_t a, int64_t b) {{
+    return (int64_t)((uint64_t)a * (uint64_t)b);
+}}
+static inline int64_t i64_neg(int64_t a) {{
+    return (int64_t)(0 - (uint64_t)a);
+}}
+static inline int64_t i64_abs(int64_t a) {{
+    return (a < 0) ? i64_neg(a) : a;
+}}
+static inline int64_t i64_divisor(int64_t a, int64_t b) {{
+    return ((b == 0) | ((b == -1) & (a == INT64_MIN))) ? 1 : b;
+}}
 static inline int64_t i64_fdiv(int64_t a, int64_t b) {{
-    int64_t q = a / b;
-    return (a % b != 0 && ((a < 0) != (b < 0))) ? q - 1 : q;
+    int64_t d = i64_divisor(a, b);
+    int64_t q = a / d;
+    q -= (a % d != 0) & ((a < 0) != (d < 0));
+    return (b == 0) ? 0 : q;
 }}
 static inline int64_t i64_fmod(int64_t a, int64_t b) {{
-    int64_t r = a % b;
-    return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
+    int64_t d = i64_divisor(a, b);
+    int64_t r = a % d;
+    return ((r != 0) & ((r < 0) != (d < 0))) ? r + d : r;
 }}
+static inline int64_t i64_shl(int64_t a, int64_t b) {{
+    return ((uint64_t)b < 64) ? (int64_t)((uint64_t)a << (b & 63)) : 0;
+}}
+static inline int64_t i64_shr(int64_t a, int64_t b) {{
+    return a >> (((uint64_t)b < 64) ? (b & 63) : 63);
+}}
+/* float64: np.mod signs a zero result like the divisor; np.minimum and
+ * np.maximum propagate NaN. */
 static inline double f64_fmod(double a, double b) {{
     double r = fmod(a, b);
-    return (r != 0.0 && ((r < 0.0) != (b < 0.0))) ? r + b : r;
+    double m = ((r < 0.0) != (b < 0.0)) ? r + b : r;
+    return (r == 0.0) ? copysign(0.0, b) : m;
 }}
 """
 
@@ -69,8 +104,8 @@ _BIN_FLOAT = {
     BinaryOp.MUL: "({a} * {b})",
     BinaryOp.DIV: "({a} / {b})",
     BinaryOp.MOD: "f64_fmod({a}, {b})",
-    BinaryOp.MIN: "(({a} < {b}) ? {a} : {b})",
-    BinaryOp.MAX: "(({a} > {b}) ? {a} : {b})",
+    BinaryOp.MIN: "((({a} < {b}) | ({a} != {a})) ? {a} : {b})",
+    BinaryOp.MAX: "((({a} > {b}) | ({a} != {a})) ? {a} : {b})",
     BinaryOp.LT: "(double)({a} < {b})",
     BinaryOp.LE: "(double)({a} <= {b})",
     BinaryOp.GT: "(double)({a} > {b})",
@@ -80,9 +115,9 @@ _BIN_FLOAT = {
 }
 
 _BIN_INT = {
-    BinaryOp.ADD: "({a} + {b})",
-    BinaryOp.SUB: "({a} - {b})",
-    BinaryOp.MUL: "({a} * {b})",
+    BinaryOp.ADD: "i64_add({a}, {b})",
+    BinaryOp.SUB: "i64_sub({a}, {b})",
+    BinaryOp.MUL: "i64_mul({a}, {b})",
     BinaryOp.DIV: "i64_fdiv({a}, {b})",
     BinaryOp.MOD: "i64_fmod({a}, {b})",
     BinaryOp.MIN: "(({a} < {b}) ? {a} : {b})",
@@ -90,8 +125,8 @@ _BIN_INT = {
     BinaryOp.AND: "({a} & {b})",
     BinaryOp.OR: "({a} | {b})",
     BinaryOp.XOR: "({a} ^ {b})",
-    BinaryOp.SHL: "({a} << {b})",
-    BinaryOp.SHR: "({a} >> {b})",
+    BinaryOp.SHL: "i64_shl({a}, {b})",
+    BinaryOp.SHR: "i64_shr({a}, {b})",
     BinaryOp.LT: "(int64_t)({a} < {b})",
     BinaryOp.LE: "(int64_t)({a} <= {b})",
     BinaryOp.GT: "(int64_t)({a} > {b})",
@@ -102,7 +137,7 @@ _BIN_INT = {
 
 
 def _ctype(program: Program) -> str:
-    if np.issubdtype(program.dtype, np.integer):
+    if program.dtype == np.int64:
         return "int64_t"
     if program.dtype == np.float64:
         return "double"
@@ -142,9 +177,9 @@ def _expr(program: Program, instr, ra: str, rb: str = "") -> str:
 def _unary_expr(program: Program, instr, ra: str) -> str:
     is_int = np.issubdtype(program.dtype, np.integer)
     if instr.op is UnaryOp.NEG:
-        return f"(-{ra})"
+        return f"i64_neg({ra})" if is_int else f"(-{ra})"
     if instr.op is UnaryOp.ABS:
-        return f"llabs({ra})" if is_int else f"fabs({ra})"
+        return f"i64_abs({ra})" if is_int else f"fabs({ra})"
     if instr.op is UnaryOp.NOT:
         if not is_int:
             raise ProgramError("NOT requires an integer program dtype")

@@ -4,7 +4,7 @@ The execution stack (fused NumPy engine, compiled native kernels, on-disk
 codegen cache, sweep harness) gains a cross-cutting robustness story:
 
 * :class:`GuardPolicy` — sampled-lane bit-identity spot-checks of native
-  kernels against the NumPy engine, with graceful degradation
+  kernels against the program's IR replay, with graceful degradation
   (``BulkExecutor(guard="spot")``);
 * :mod:`~repro.reliability.quarantine` — process-level registry of cache
   keys whose kernels misbehaved, so they are never reloaded;

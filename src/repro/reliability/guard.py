@@ -3,10 +3,17 @@
 Oblivious programs make verification unusually cheap: the address trace is
 input-independent, so *any* lane of a bulk run exercises exactly the same
 instruction stream as every other lane.  Re-running a small sample of lanes
-through the independent NumPy engine and demanding **bit identity** is
+through an independent reference and demanding **bit identity** is
 therefore a real end-to-end check of the compiled kernel (codegen, compiler
-flags, the cache artefact, the ctypes binding) at a cost of
-``sample/p`` of the batch.
+flags, the cache artefact, the ctypes binding).
+
+The reference is the program's IR replay (:mod:`repro.trace.replay`):
+straight-line Python generated from the IR — never from the C — and
+compiled once per program per process.  Its semantic table (int64
+wraparound, zero and ``MIN/-1`` divisors, shift counts outside [0, 64),
+NaN-propagating float ``MIN``/``MAX``) is NumPy's, which the C prelude
+follows too.  A guarded run therefore costs ``sample`` passes over
+straight-line code, with no fixed per-instruction dispatch.
 
 :class:`GuardPolicy` is pure configuration; the mechanics (sampling,
 comparison, quarantine, fallback) live in
@@ -38,8 +45,9 @@ class GuardPolicy:
         ``"spot"`` re-checks ``sample`` lanes per run; ``"off"`` disables
         checking (construction-time load failures are still handled).
     sample:
-        Lanes re-executed on the NumPy engine per guarded run (clamped to
-        ``p``).
+        Lanes re-executed through the program's IR replay per guarded run
+        (clamped to ``p``); each costs one pass over the generated
+        straight-line code.
     seed:
         Seed of the lane sampler — deterministic, so a failing run is
         reproducible bit for bit.

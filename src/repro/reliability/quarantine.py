@@ -1,7 +1,7 @@
 """Quarantine registry for misbehaving compiled kernels.
 
 When the guard catches a native kernel producing outputs that differ from
-the NumPy engine — or the kernel fails to load or crashes — retrying the
+the IR replay — or the kernel fails to load or crashes — retrying the
 same cache key is worse than useless: the artefact is deterministically
 bad.  Quarantining the key makes every later lookup fail fast with a
 :class:`~repro.errors.BackendError`, which the guarded/auto paths turn into
