@@ -35,7 +35,12 @@ Three proof obligations (see ``docs/SCHEDULE.md``):
     and a ragged tile's absent lanes must be zeroed first, and the scatter
     must write every word of each real lane to its own output row after
     the last chunk (index maps ``OBL-S703``, coverage and order
-    ``OBL-S701``/``OBL-S702``).
+    ``OBL-S701``/``OBL-S702``).  The scatter writes through
+    ``stream_word(&out[...], slab[...])``, a non-temporal store whose
+    definition (and ``STREAM_FENCE``'s) must be the pinned text
+    (``OBL-S703``); a ``STREAM_FENCE()`` must follow it inside the tile
+    loop, and no other statement may write ``out`` (``OBL-S702``:
+    streamed stores are weakly ordered across threads).
 
 **Race freedom** (``OBL-S702``/``OBL-S703``)
     The tile loop's ``(init, bound, step)`` are parsed and simulated over
@@ -69,6 +74,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import ProgramError
 from ..trace.ir import Binary, Const, Load, Program, Select, Store, Unary
@@ -280,8 +287,32 @@ _RAGGED_ZERO = re.compile(
 _NEST_LOOP = re.compile(r"^for \(long (\w+) = (\w+); \1 < (\w+); \+\+\1\)$")
 _GATHER = re.compile(r"^slab\[(.+)\] = in\[(.+)\];$")
 _TAIL_ZERO = re.compile(r"^slab\[(.+)\] = 0;$")
-_SCATTER = re.compile(r"^out\[(.+)\] = slab\[(.+)\];$")
+_SCATTER = re.compile(r"^stream_word\(&out\[([^;]+)\], slab\[([^;]+)\]\);$")
+_OUT_WRITE = re.compile(r"\bout\s*\[")
+_FENCE_STMT = "STREAM_FENCE();"
 _OMP_PRAGMA = "#pragma omp parallel for schedule(static) num_threads(THREADS)"
+
+#: The only admitted definitions of the scatter's store and fence
+#: (``{ctype}`` is the kernel's element type).  The text is pinned here,
+#: not imported from the emitter, so a helper redefined to write anywhere
+#: but ``dst[0]`` fails the proof (``OBL-S703``).
+_STREAM_HELPERS = """\
+#if defined(__SSE2__) && defined(__x86_64__)
+#include <emmintrin.h>
+#include <string.h>
+static inline void stream_word({ctype} *dst, {ctype} v) {{
+    long long bits;
+    memcpy(&bits, &v, sizeof bits);
+    _mm_stream_si64((long long *)dst, bits);
+}}
+#define STREAM_FENCE() _mm_sfence()
+#else
+static inline void stream_word({ctype} *dst, {ctype} v) {{
+    dst[0] = v;
+}}
+#define STREAM_FENCE() ((void)0)
+#endif
+"""
 
 
 def _eval_bound(expr: str, macros: Dict[str, int]) -> Optional[int]:
@@ -361,7 +392,9 @@ class _ParsedDriver:
     ragged_zero_at: Optional[int] = None
     calls: List[int] = field(default_factory=list)
     call_positions: List[int] = field(default_factory=list)
+    fence_positions: List[int] = field(default_factory=list)
     nests: List[_Nest] = field(default_factory=list)
+    stray: List[str] = field(default_factory=list)  # unrecognised statements
     found: bool = False
 
 
@@ -443,7 +476,8 @@ def _classify_nest(
         m = form.match(body)
         if m:
             return _Nest(kind, loops, m.groups(), text, position)
-    return _Nest("opaque", loops, (), text, position)
+    kind = "plain_store" if _OUT_WRITE.search(body) else "opaque"
+    return _Nest(kind, loops, (), text, position)
 
 
 def _parse_driver(lines: Sequence[str]) -> _ParsedDriver:
@@ -473,7 +507,7 @@ def _parse_driver(lines: Sequence[str]) -> _ParsedDriver:
         if stripped.startswith("#if") or stripped.startswith("#endif"):
             continue
         m = _FOR_J0.match(stripped)
-        if m and not in_loop:
+        if m and not driver.found:
             driver.init_expr, driver.bound_expr, driver.step_expr = m.groups()
             driver.pragma_governs_loop = pragma_pending
             in_loop = driver.found = True
@@ -489,6 +523,9 @@ def _parse_driver(lines: Sequence[str]) -> _ParsedDriver:
             position += 1
             loops, loop_text = {}, []
             continue
+        if stripped == "}":
+            in_loop = in_loop and depth > 1  # depth 1: the tile loop closed
+            continue
         for decl, inside, outside in (
             (_SLAB_DECL, "slab_inside", "slab_outside"),
             (_DATA_SLAB_DECL, "data_slab_inside", "data_slab_outside"),
@@ -503,11 +540,15 @@ def _parse_driver(lines: Sequence[str]) -> _ParsedDriver:
                 driver.zero_ok = True
             elif _RAGGED_ZERO.match(stripped):
                 driver.ragged_zero_at = position
+            elif stripped == _FENCE_STMT and in_loop:
+                driver.fence_positions.append(position)
             else:
                 cm = _CHUNK_CALL.match(stripped)
                 if cm:
                     driver.calls.append(int(cm.group(1)))
                     driver.call_positions.append(position)
+                else:
+                    driver.stray.append(stripped)
             position += 1
     return driver
 
@@ -557,9 +598,14 @@ def _certify_gather_scatter(
       gather, so the chunks start from the zero-extended input image the
       sequential reference starts from;
     * **scatter** (``OBL-S703`` map, ``OBL-S701``/``OBL-S702`` bounds):
-      exactly one nest over ``a ∈ [0, WORDS)`` × ``jj ∈ [0, len)`` writing
-      the slab's word ``a`` of lane ``jj`` to output row ``j0 + jj`` —
-      after the last chunk, and never past the tile's own lanes.
+      exactly one nest over ``a ∈ [0, WORDS)`` × ``jj ∈ [0, len)`` that
+      streams the slab's word ``a`` of lane ``jj`` to output row
+      ``j0 + jj`` (``stream_word(&out[...], slab[...])``) — after the last
+      chunk, and never past the tile's own lanes;
+    * **fence and bypass** (``OBL-S702``): a ``STREAM_FENCE()`` follows
+      the scatter inside the tile loop, and nothing else in the driver
+      writes ``out``.  Any other unrecognised driver statement is
+      ``OBL-S701``.
 
     Index expressions must be the maps' exact forms (:data:`_SLAB_INDEX`,
     :data:`_IN_INDEX`, :data:`_OUT_INDEX`), so a pass holds for every
@@ -574,6 +620,17 @@ def _certify_gather_scatter(
     for nest in driver.nests:
         if nest.kind == "opaque":
             fail("OBL-S701", f"unrecognised tile-driver loop nest {nest.text!r}")
+    bypass = [n.text for n in driver.nests if n.kind == "plain_store"]
+    for text in driver.stray:
+        if _OUT_WRITE.search(text):
+            bypass.append(text)
+        else:
+            fail("OBL-S701", f"unrecognised tile-driver statement {text!r}")
+    for text in bypass:
+        fail("OBL-S702", f"{text!r} writes the output image outside the "
+                         f"streamed scatter — every output word must be "
+                         f"written once, through stream_word, before the "
+                         f"tile's fence")
     first_call = min(driver.call_positions, default=None)
     last_call = max(driver.call_positions, default=None)
     specs = (
@@ -613,6 +670,12 @@ def _certify_gather_scatter(
         ):
             fail("OBL-S701", f"{what} must run {'before' if before else 'after'}"
                              f" every chunk")
+    scatter = [n.position for n in driver.nests if n.kind == "scatter"]
+    if scatter and not any(f > max(scatter) for f in driver.fence_positions):
+        fail("OBL-S702", "no STREAM_FENCE() follows the output scatter inside "
+                         "the tile loop — streamed stores are weakly ordered, "
+                         "so another thread or the caller may read the image "
+                         "before they land")
     gather = [n.position for n in driver.nests if n.kind == "gather"]
     if driver.ragged_zero_at is None or driver.ragged_zero_at > min(
         gather, default=driver.ragged_zero_at
@@ -625,6 +688,34 @@ def _certify_gather_scatter(
                          "loop (tile-private); a slab shared across OpenMP "
                          "threads is a write race")
     return out
+
+
+def _certify_stream_helpers(
+    program: Program, source: str, label: str
+) -> List[Diagnostic]:
+    """The scatter's store and fence are the pinned definitions
+    (``OBL-S703``): :data:`_STREAM_HELPERS` appears exactly once, and
+    outside it ``stream_word``/``STREAM_FENCE`` appear only in the
+    driver's scatter and fence statements — no second definition, macro
+    or ``#undef`` can redirect a streamed word."""
+    ctype = "int64_t" if np.dtype(program.dtype) == np.int64 else "double"
+    pinned = _STREAM_HELPERS.format(ctype=ctype)
+    if source.count(pinned) != 1:
+        problems = ["the stream_word/STREAM_FENCE definitions are not the "
+                    "pinned text"]
+    else:
+        problems = [
+            f"{text!r} redefines or bypasses the streamed store"
+            for text in map(str.strip, source.replace(pinned, "").splitlines())
+            if ("stream_word" in text and not _SCATTER.match(text))
+            or ("STREAM_FENCE" in text and text != _FENCE_STMT)
+        ]
+    return [
+        diag("OBL-S703", f"{label}: {problem} — a redefined helper may write "
+                         f"elsewhere than out[(j0 + jj) * WORDS + a]",
+             program=program.name)
+        for problem in problems
+    ]
 
 
 # -- the symbolic lane replay -------------------------------------------------
@@ -1169,6 +1260,7 @@ def certify_bulk_schedule(
             program=name,
         ))
     moves = _certify_gather_scatter(driver, config, label, name)
+    moves += _certify_stream_helpers(program, source, label)
     moves_ok = not moves
     out.extend(moves)
     if moves_ok:
@@ -1176,7 +1268,8 @@ def certify_bulk_schedule(
             f"{label}: gather/scatter commute with the address map — each "
             f"tile gathers input word a of lane j0+jj into its private slab "
             f"at the layout's map, zero-fills words [k, WORDS) and absent "
-            f"lanes, and scatters only its own lanes to output row j0+jj"
+            f"lanes, and streams only its own lanes to output row j0+jj "
+            f"through the pinned stream_word, then fences"
         )
 
     # 7. Partition analysis: simulate the parsed (init, bound, step) over

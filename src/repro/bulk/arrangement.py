@@ -239,13 +239,26 @@ class ColumnWise(Arrangement):
 
     name = "column"
 
-    #: Cache-blocking tile sizes for the pack/unpack transposes.  A naive
+    #: Cache blocking for the pack/unpack transposes.  A naive
     #: ``buffer[:k] = inputs.T`` walks one axis at a maximally cache-hostile
-    #: stride; tiling keeps both source and destination tiles resident and
-    #: is ~2-3x faster at large ``p`` (values tuned on the eval host).
+    #: stride; blocking keeps the lines a block touches resident.  The
+    #: unpack reads ``_UNPACK_ROWS`` source rows per block, and those rows
+    #: lie ``p`` words apart: a power-of-two stride aliases cache sets.  At
+    #: ``p = 8192`` (64 KiB) every row lands in the same L1 set and in two
+    #: L2 sets, so a block of 256 rows evicts its own lines before the
+    #: transposed write has used all eight words of each, while 32 rows
+    #: fit the L2's 2 x 16 ways (a ``(1024, 8192)`` float64 image: 85 -> 29
+    #: ms on a Xeon with 12-way 48 KiB L1d and 16-way 2 MiB L2,
+    #: ``benchmarks/bench_unpack.py``).  An image
+    #: narrower than ``_UNPACK_NARROW_LANES`` lanes touches few lines per
+    #: row and the per-block call overhead dominates, so it takes
+    #: ``_UNPACK_NARROW_ROWS`` rows per block.  Pack keeps its 64-lane
+    #: column blocks: 32-word x 64-lane tiles measured slower there (31 vs
+    #: 20 ms for the same image).
     _PACK_COLS = 64
-    _UNPACK_ROWS = 256
-    _UNPACK_COLS = 128
+    _UNPACK_ROWS = 32
+    _UNPACK_NARROW_ROWS = 256
+    _UNPACK_NARROW_LANES = 128
 
     def global_address(self, local, j):
         return np.asarray(local, dtype=np.int64) * self.p + np.asarray(j, dtype=np.int64)
@@ -270,12 +283,13 @@ class ColumnWise(Arrangement):
 
     def _unpack_rows(self, buffer: np.ndarray, out: np.ndarray) -> None:
         q = out.shape[0]
-        Bi, Bj = self._UNPACK_ROWS, self._UNPACK_COLS
-        for i0 in range(0, self.words, Bi):
-            block = buffer[i0 : i0 + Bi]
-            for j0 in range(0, q, Bj):
-                hi = min(j0 + Bj, q)
-                out[j0:hi, i0 : i0 + Bi] = block[:, j0:hi].T
+        rows = (
+            self._UNPACK_ROWS
+            if q >= self._UNPACK_NARROW_LANES
+            else self._UNPACK_NARROW_ROWS
+        )
+        for i0 in range(0, self.words, rows):
+            out[:, i0 : i0 + rows] = buffer[i0 : i0 + rows, :q].T
 
     def _clear_tail(self, buffer: np.ndarray, k: int) -> None:
         buffer[k:] = 0  # rows [0, k) are fully overwritten by pack

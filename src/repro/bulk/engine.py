@@ -24,7 +24,8 @@ The instruction stream is *pre-compiled* to a list of argument-bound
 closures once per (program, p) pair, so the per-step interpreter overhead
 is one Python call; all data movement stays in C.  Buffers are allocated
 once and reused across :meth:`BulkExecutor.run` calls (guides: avoid
-allocation in hot loops; use ``out=``/views, not copies).
+allocation in hot loops; use ``out=``/views, not copies); so is the
+output image's store, once the caller has released the last result.
 """
 
 from __future__ import annotations
@@ -238,10 +239,10 @@ class BulkExecutor:
         self._pad_blocks: dict = {}
         self._closed = False
         self._mem: Optional[np.ndarray] = None
-        # Native state: the last loaded (p, k) inputs, the output image the
-        # last execute() produced, the executor-owned store behind it and a
-        # weak reference to the array every view of the image goes through
-        # (see _output_image).
+        # Native state: the last loaded (p, k) inputs and the output image
+        # the last execute() produced.  Both backends: the executor-owned
+        # store behind output images and a weak reference to the array
+        # every view of the last image goes through (see _output_image).
         self._inputs = np.zeros((self.p, 0), dtype=program.dtype)
         self._image: Optional[np.ndarray] = None
         self._store: Optional[np.ndarray] = None
@@ -460,18 +461,20 @@ class BulkExecutor:
     def outputs(self) -> np.ndarray:
         """Unpack the buffer into per-input ``(p, memory_words)`` images.
 
-        A native executor returns the output image its last
-        :meth:`execute` wrote.
+        The images go into a fresh :meth:`_output_image`.  A native
+        executor returns the output image its last :meth:`execute` wrote.
         """
         if self._native is not None:
             return self._native_image()
-        return self.arrangement.unpack(self._mem)
+        image = self._output_image()
+        self.arrangement.unpack_rows_into(self._mem, image)
+        return image
 
     def _output_image(self) -> np.ndarray:
-        """A ``(p, words)`` image for the kernel to overwrite.
+        """A ``(p, words)`` image for the kernel or the unpack to overwrite.
 
-        The kernel writes every word, so the store behind an earlier image
-        is refilled once nothing can reach that image any more: a caller
+        Both write every word, so the store behind an earlier image is
+        refilled once nothing can reach that image any more: a caller
         that releases each result before the next run skips the page
         faults of a fresh ``p x words`` allocation.  Every image is a
         reshape of a ``frombuffer`` array over the executor-owned store.
@@ -507,27 +510,30 @@ class BulkExecutor:
         BulkSession` flushes and the serving layer's micro-batches: the
         ``q`` real inputs occupy the first lanes, the remaining ``p − q``
         lanes run on zero inputs (idle threads of a partially full block),
-        and only the real lanes' output images are returned — as a fresh
-        array, never a view into the executor's reusable buffer.
+        and only the real lanes' output images are unpacked — through
+        :meth:`run_trimmed_into`, into a fresh array that shares nothing
+        with the executor.
         """
+        arr = self._partial_batch(rows)
+        out = np.empty(
+            (arr.shape[0], self.program.memory_words), dtype=self.program.dtype
+        )
+        self.run_trimmed_into(arr, out)
+        return out
+
+    def _partial_batch(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` as a ``(q, k)`` array of the program dtype, ``0 < q <= p``."""
         arr = np.asarray(rows, dtype=self.program.dtype)
         if arr.ndim != 2:
             raise ExecutionError(
                 f"expected 2-D inputs (q, k), got shape {arr.shape}"
             )
-        q = arr.shape[0]
-        if not 0 < q <= self.p:
+        if not 0 < arr.shape[0] <= self.p:
             raise ExecutionError(
-                f"partial batch of {q} inputs does not fit p={self.p}"
+                f"partial batch of {arr.shape[0]} inputs does not fit "
+                f"p={self.p}"
             )
-        outputs = self.run(self._padded(arr, q)).outputs
-        trimmed = outputs[:q]
-        # Every library arrangement unpacks into a fresh array, so the trim
-        # is normally a zero-copy view of it; copy only if a (custom)
-        # arrangement ever hands back the live arranged buffer.
-        if self._mem is not None and np.may_share_memory(trimmed, self._mem):
-            return trimmed.copy()  # pragma: no cover - defensive
-        return trimmed
+        return arr
 
     def run_trimmed_into(self, rows: np.ndarray, out: np.ndarray) -> None:
         """:meth:`run_trimmed` into a caller-owned ``(q, memory_words)`` buffer.
@@ -541,16 +547,8 @@ class BulkExecutor:
         first.  Guarded/native runs take the checked :meth:`run` path and
         copy the verified images in.
         """
-        arr = np.asarray(rows, dtype=self.program.dtype)
-        if arr.ndim != 2:
-            raise ExecutionError(
-                f"expected 2-D inputs (q, k), got shape {arr.shape}"
-            )
+        arr = self._partial_batch(rows)
         q = arr.shape[0]
-        if not 0 < q <= self.p:
-            raise ExecutionError(
-                f"partial batch of {q} inputs does not fit p={self.p}"
-            )
         if (
             out.shape != (q, self.program.memory_words)
             or out.dtype != self.program.dtype

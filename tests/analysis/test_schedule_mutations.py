@@ -11,6 +11,9 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * a gather that reads another lane's input row             -> ``OBL-S703``
 * a scatter that writes another lane's output row          -> ``OBL-S703``
 * a scatter over the whole tile, past a ragged tile's lanes -> ``OBL-S702``
+* the fence after the streamed scatter deleted             -> ``OBL-S702``
+* a ``stream_word`` helper redefined to write ``dst[1]``   -> ``OBL-S703``
+* a plain store to the output beside the streamed scatter  -> ``OBL-S702``
 * the slab's words ``[k, WORDS)`` left unzeroed            -> ``OBL-S701``
 * a ragged tile's absent lanes left unzeroed               -> ``OBL-S701``
 * forwarding past an aliasing store                        -> ``OBL-S704``
@@ -142,7 +145,9 @@ class TestSeededScheduleBugs:
     def test_scatter_writes_the_wrong_row(self, clean):
         program, source, config = clean
         mutated = _mutate(
-            source, "out[(j0 + jj) * WORDS + a]", "out[(j0 + TILE - 1 - jj) * WORDS + a]"
+            source,
+            "stream_word(&out[(j0 + jj) * WORDS + a], ",
+            "stream_word(&out[(j0 + TILE - 1 - jj) * WORDS + a], ",
         )
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert any(
@@ -154,9 +159,65 @@ class TestSeededScheduleBugs:
         program, source, config = clean
         head, sep, tail = source.rpartition("for (long jj = 0; jj < len; ++jj)")
         mutated = head + "for (long jj = 0; jj < TILE; ++jj)" + tail
-        assert sep and "out[" in tail
+        assert sep and "stream_word(&out[" in tail
         rules = _rules(program, mutated, config)
         assert "OBL-S702" in rules
+
+    def test_deleted_stream_fence(self, clean):
+        program, source, config = clean
+        # Streamed stores are weakly ordered: without the tile's fence the
+        # caller (or another thread) may read the image before they land.
+        mutated = _mutate(source, "        STREAM_FENCE();\n", "")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S702" and "STREAM_FENCE" in d.message
+            for d in diags
+        )
+
+    @pytest.mark.parametrize("old, new", [
+        ("    dst[0] = v;\n", "    dst[1] = v;\n"),
+        ("_mm_stream_si64((long long *)dst, bits);",
+         "_mm_stream_si64((long long *)&dst[1], bits);"),
+    ], ids=["plain-branch", "stream-branch"])
+    def test_stream_helper_writes_elsewhere(self, clean, old, new):
+        program, source, config = clean
+        # The scatter's index is right, but the helper it calls shifts
+        # every word into the next one's slot.
+        mutated = _mutate(source, old, new)
+        rules = _rules(program, mutated, config)
+        assert rules == ["OBL-S703"]
+
+    def test_helper_redefined_by_a_macro(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source,
+            "#define TILE",
+            "#define stream_word(dst, v) ((dst)[1] = (v))\n#define TILE",
+        )
+        rules = _rules(program, mutated, config)
+        assert "OBL-S703" in rules
+
+    def test_scatter_bypasses_the_stream(self, clean):
+        program, source, config = clean
+        # A second, plain scatter of the same words: ordinary stores mixed
+        # with the weakly-ordered streamed ones, outside the proof.
+        scatter = (
+            "        for (long jj = 0; jj < len; ++jj)\n"
+            "            for (long a = 0; a < WORDS; ++a)\n"
+            "                stream_word(&out[(j0 + jj) * WORDS + a], "
+            "slab[a * TILE + jj]);\n"
+        )
+        plain = (
+            "        for (long jj = 0; jj < len; ++jj)\n"
+            "            for (long a = 0; a < WORDS; ++a)\n"
+            "                out[(j0 + jj) * WORDS + a] = slab[a * TILE + jj];\n"
+        )
+        mutated = _mutate(source, scatter, scatter + plain)
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S702" and "outside the streamed scatter"
+            in d.message for d in diags
+        )
 
     def test_slab_tail_not_zeroed(self, clean):
         program, source, config = clean

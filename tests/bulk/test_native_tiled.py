@@ -202,20 +202,22 @@ def test_invalid_knobs_raise():
         BulkExecutor(program, 8, threads=-1)
 
 
-# -- run_trimmed must not copy ------------------------------------------------
+# -- run_trimmed unpacks only the real lanes ----------------------------------
 
-def test_run_trimmed_returns_view_not_copy():
+def test_run_trimmed_owns_its_rows():
     p = 8
     spec = get_spec("prefix-sums")
     program, inputs = _spec_case(spec, p)
     ex = BulkExecutor(program, p)
     try:
         trimmed = ex.run_trimmed(inputs[:5])
-        # A trimmed result is a *view* of the freshly unpacked output block
-        # (unpack always materialises a new array), never a defensive copy
-        # of it — and never aliases the executor's arranged buffer.
-        assert trimmed.base is not None
+        # The q real lanes are unpacked straight into a fresh (q, words)
+        # array: no p-lane image behind it, nothing shared with the
+        # executor, and no output image left alive in the executor.
+        assert trimmed.base is None
+        assert trimmed.shape == (5, program.memory_words)
         assert not np.may_share_memory(trimmed, ex._mem)
+        assert ex._issued() is None
         want = bulk_run(program, inputs)[:5]
         np.testing.assert_array_equal(trimmed, want)
     finally:

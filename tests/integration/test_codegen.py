@@ -1,6 +1,8 @@
 """Code generation: emitted C cross-validated against the Python engine,
 and structural checks of the emitted CUDA kernels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,14 +77,33 @@ class TestEmission:
         src = emit_cuda(program, arrangement)
         assert src.count("__global__") == 1
         assert "if (j >= p) return;" in src
-        # every register slot declared exactly once
-        decl = next(l for l in src.splitlines() if l.strip().startswith(("double", "int64_t")))
+        # every register slot declared exactly once (in the kernel, after
+        # the __device__ helpers)
+        kernel = src[src.index("__global__"):]
+        decl = next(l for l in kernel.splitlines() if l.strip().startswith(("double", "int64_t")))
         assert decl.count("r") >= program.num_registers
         if arrangement == "column":
             assert "* (size_t)p + (size_t)j]" in src
             assert f"(size_t)j * {program.memory_words}" not in src
         else:
             assert f"(size_t)j * {program.memory_words}" in src
+
+    @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
+    def test_every_helper_call_is_defined(self, spec):
+        """Each ``i64_*``/``f64_*`` call site of the C and CUDA emissions
+        has a definition in the same source (the CUDA header defines the
+        ``__device__`` helpers from the C prelude's table)."""
+        program = spec.build(spec.sizes[0])
+        for src in (emit_c(program), emit_cuda(program, "column"),
+                    emit_cuda(program, "row")):
+            defined = set(re.findall(
+                r"^static (?:__device__ )?inline (?:int64_t|double) "
+                r"([if]64_\w+)\(", src, re.M,
+            ))
+            called = set(re.findall(r"\b([if]64_\w+)\(", src)) - defined
+            assert not called, f"{spec.name}: undefined helpers {called}"
+        if program.dtype == np.int64:
+            assert "static __device__ inline int64_t i64_fdiv(" in emit_cuda(program)
 
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
     def test_cuda_body_matches_c_bulk_body(self, spec):
