@@ -14,6 +14,8 @@ Memory layout (``memory_words = n + m + (n+1)(m+1)``):
 * ``x[i]`` at ``i`` for ``i = 0..n-1``;
 * ``y[j]`` at ``n + j`` for ``j = 0..m-1``;
 * ``dp[i, j]`` at ``n + m + i·(m+1) + j``.
+
+The answer ``dp[n, m]`` is the program's one declared output word.
 """
 
 from __future__ import annotations
@@ -57,8 +59,14 @@ def pack_sequences(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def unpack_length(outputs: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Every input's LCS length from bulk outputs."""
-    return np.asarray(outputs)[:, answer_address(n, m)].copy()
+    """Every input's LCS length from the ``(p, 1)`` output image of a bulk
+    run of :func:`build_lcs`."""
+    out = np.asarray(outputs)
+    if out.ndim != 2 or out.shape[1] != 1:
+        raise WorkloadError(
+            f"expected bulk outputs of shape (p, 1) for {n}x{m}, got {out.shape}"
+        )
+    return out[:, 0].copy()
 
 
 def lcs_python(mem, n: int, m: int) -> None:
@@ -101,6 +109,8 @@ def build_lcs(n: int, m: int) -> Program:
     b.meta["n"] = n
     b.meta["m"] = m
     b.meta["algorithm"] = "lcs"
+    answer = answer_address(n, m)
+    b.outputs = ((answer, answer + 1),)
     dp = n + m
     stride = m + 1
     zero = b.const(0.0)

@@ -15,6 +15,8 @@ Memory layout (``memory_words = (n + 1) + (n + 1)²``):
 
 * ``d[i]`` at address ``i`` for ``i = 0..n``;
 * ``m[i, j]`` at address ``(n+1) + i·(n+1) + j`` (indices ``1..n``).
+
+The answer ``m[1, n]`` is the program's one declared output word.
 """
 
 from __future__ import annotations
@@ -57,8 +59,14 @@ def pack_dims(dims: np.ndarray) -> np.ndarray:
 
 
 def unpack_result(outputs: np.ndarray, n: int) -> np.ndarray:
-    """Every input's optimal count ``m[1, n]`` from bulk outputs."""
-    return np.asarray(outputs)[:, answer_address(n)].copy()
+    """Every input's optimal count ``m[1, n]`` from the ``(p, 1)`` output
+    image of a bulk run of :func:`build_matrix_chain`."""
+    out = np.asarray(outputs)
+    if out.ndim != 2 or out.shape[1] != 1:
+        raise WorkloadError(
+            f"expected bulk outputs of shape (p, 1) for n={n}, got {out.shape}"
+        )
+    return out[:, 0].copy()
 
 
 def matrix_chain_python(mem, n: int) -> None:
@@ -114,6 +122,8 @@ def build_matrix_chain(n: int) -> Program:
     b = ProgramBuilder(memory_words=memory_words(n), name=f"matrix-chain-n{n}")
     b.meta["n"] = n
     b.meta["algorithm"] = "matrix-chain"
+    answer = answer_address(n)
+    b.outputs = ((answer, answer + 1),)
     m_base = n + 1
     stride = n + 1
     zero = b.const(0.0)

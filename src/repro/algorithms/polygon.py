@@ -26,7 +26,8 @@ Memory layout of the IR program (``memory_words = 2n²``):
 * ``c[i, j]`` at address ``i·n + j`` (row-major, addresses ``[0, n²)``);
 * ``M[i, j]`` at address ``n² + i·n + j`` (indices ``1 … n-1`` used).
 
-The answer lands at ``M[1, n-1]`` = address ``n² + n + (n-1)``.
+The answer lands at ``M[1, n-1]`` = address ``n² + n + (n-1)``, the
+program's one declared output word: a bulk run returns a ``(p, 1)`` image.
 """
 
 from __future__ import annotations
@@ -101,13 +102,14 @@ def pack_weights(weights: np.ndarray) -> np.ndarray:
 
 
 def unpack_result(outputs: np.ndarray, n: int) -> np.ndarray:
-    """Extract every input's optimal value ``M[1, n-1]`` from bulk outputs."""
+    """Every input's optimal value ``M[1, n-1]`` from the ``(p, 1)`` output
+    image of a bulk run of :func:`build_opt`."""
     out = np.asarray(outputs)
-    if out.ndim != 2 or out.shape[1] != 2 * n * n:
+    if out.ndim != 2 or out.shape[1] != 1:
         raise WorkloadError(
-            f"expected bulk outputs of shape (p, {2 * n * n}), got {out.shape}"
+            f"expected bulk outputs of shape (p, 1) for n={n}, got {out.shape}"
         )
-    return out[:, answer_address(n)].copy()
+    return out[:, 0].copy()
 
 
 # -- plain-Python execution (reference semantics & obliviousness witness) -----
@@ -164,6 +166,8 @@ def build_opt(n: int, *, use_select: bool = True, opt_level: int = 0) -> Program
     b = ProgramBuilder(memory_words=2 * n * n, name=f"opt-n{n}")
     b.meta["n"] = n
     b.meta["algorithm"] = "opt"
+    answer = answer_address(n)
+    b.outputs = ((answer, answer + 1),)
     c_base, m_base = 0, n * n
     zero = b.const(0.0)
     for i in range(1, n):

@@ -33,9 +33,11 @@ Three proof obligations (see ``docs/SCHEDULE.md``):
     its own obligations: the gather must copy input word ``a`` of lane
     ``j0 + jj`` into the slab at the layout's map, words ``[k, WORDS)``
     and a ragged tile's absent lanes must be zeroed first, and the scatter
-    must write every word of each real lane to its own output row after
-    the last chunk (index maps ``OBL-S703``, coverage and order
-    ``OBL-S701``/``OBL-S702``).  The scatter writes through
+    must write every declared output word of each real lane exactly once,
+    to its own column of its own output row, after the last chunk, and no
+    undeclared word (index maps and ``OUT_WORDS`` ``OBL-S703``, coverage
+    and order ``OBL-S701``, undeclared or repeated words and lane bounds
+    ``OBL-S702``).  The scatter writes through
     ``stream_word(&out[...], slab[...])``, a non-temporal store whose
     definition (and ``STREAM_FENCE``'s) must be the pinned text
     (``OBL-S703``); a ``STREAM_FENCE()`` must follow it inside the tile
@@ -134,6 +136,12 @@ class ScheduleConfig:
     chunk: int
     threads: int
     stride: int  # row stride (0 for the column layout)
+    outputs: Tuple[Tuple[int, int], ...]  # the program's output_ranges
+
+    @property
+    def out_words(self) -> int:
+        """Width of the output image's rows: the declared words."""
+        return sum(hi - lo for lo, hi in self.outputs)
 
     @property
     def slab_words(self) -> int:
@@ -201,6 +209,7 @@ def schedule_config(
         chunk=int(chunk),
         threads=max(1, int(threads)),
         stride=int(stride),
+        outputs=program.output_ranges,
     )
 
 
@@ -249,9 +258,11 @@ class ScheduleProof:
 
 # -- source parsing -----------------------------------------------------------
 
-_MACROS = ("P", "WORDS", "STRIDE", "TILE", "SLAB", "NREGS", "THREADS")
+_MACROS = (
+    "P", "WORDS", "OUT_WORDS", "STRIDE", "TILE", "SLAB", "NREGS", "THREADS"
+)
 _DEFINE_RE = re.compile(
-    r"^#define (P|WORDS|STRIDE|TILE|SLAB|NREGS|THREADS) (-?\d+)L?\b"
+    r"^#define (P|WORDS|OUT_WORDS|STRIDE|TILE|SLAB|NREGS|THREADS) (-?\d+)L?\b"
 )
 _HEADER_RE = re.compile(
     r"/\* schedule: layout=(\w+) p=(\d+) words=(\d+) stride=(\d+) "
@@ -565,16 +576,21 @@ def _parse_local_addr(expr: str, layout: str) -> Optional[int]:
 #: The exact index forms of the tile driver's data movement: the slab map
 #: restricted to one tile (``a*TILE + jj`` column, ``jj*STRIDE + a`` row
 #: and padded-row — the same maps the chunk accesses are matched against),
-#: the row-major input ``(P, k)`` and the row-major output ``(P, WORDS)``.
+#: the row-major input ``(P, k)`` and the row-major output ``(P,
+#: OUT_WORDS)``, whose column for word ``a`` of a declared range is ``a``
+#: less the range's shift (its start less the widths before it).
 _SLAB_INDEX = {"column": "a * TILE + jj", "row": "jj * STRIDE + a"}
 _IN_INDEX = "(j0 + jj) * k + a"
-_OUT_INDEX = "(j0 + jj) * WORDS + a"
+_OUT_INDEX = re.compile(r"^\(j0 \+ jj\) \* OUT_WORDS \+ a(?: - (\d+))?$")
 
 
-def _check_nest_map(nest: _Nest, forms: Sequence[str]) -> Optional[str]:
-    """Match the nest's index expressions (target first) against their
-    exact forms, whitespace-normalised; returns the first mismatch."""
-    for expr, want in zip(nest.indices, forms):
+def _check_nest_map(
+    nest: _Nest, forms: Sequence[str], index: int = 0
+) -> Optional[str]:
+    """Match the nest's index expressions (target first), from ``index``
+    on, against their exact forms, whitespace-normalised; returns the
+    first mismatch."""
+    for expr, want in zip(nest.indices[index:], forms):
         if " ".join(expr.split()) != want:
             return f"index {expr!r} is not the map's {want!r}"
     return None
@@ -583,6 +599,7 @@ def _check_nest_map(nest: _Nest, forms: Sequence[str]) -> Optional[str]:
 def _certify_gather_scatter(
     driver: _ParsedDriver,
     config: ScheduleConfig,
+    macros: Dict[str, int],
     label: str,
     name: str,
 ) -> List[Diagnostic]:
@@ -597,11 +614,8 @@ def _certify_gather_scatter(
       TILE)``), and a ragged tile zero-fills the whole slab before the
       gather, so the chunks start from the zero-extended input image the
       sequential reference starts from;
-    * **scatter** (``OBL-S703`` map, ``OBL-S701``/``OBL-S702`` bounds):
-      exactly one nest over ``a ∈ [0, WORDS)`` × ``jj ∈ [0, len)`` that
-      streams the slab's word ``a`` of lane ``jj`` to output row
-      ``j0 + jj`` (``stream_word(&out[...], slab[...])``) — after the last
-      chunk, and never past the tile's own lanes;
+    * **scatter** (:func:`_certify_scatter`): the declared output words,
+      streamed after the last chunk;
     * **fence and bypass** (``OBL-S702``): a ``STREAM_FENCE()`` follows
       the scatter inside the tile loop, and nothing else in the driver
       writes ``out``.  Any other unrecognised driver statement is
@@ -632,32 +646,22 @@ def _certify_gather_scatter(
                          f"written once, through stream_word, before the "
                          f"tile's fence")
     first_call = min(driver.call_positions, default=None)
-    last_call = max(driver.call_positions, default=None)
     specs = (
-        # kind, what, lane range, word range, index forms, before the chunks
+        # kind, what, lane range, word range, index forms
         ("gather", "the input gather", ("0", "len"), ("0", "k"),
-         (slab_at, _IN_INDEX), True),
+         (slab_at, _IN_INDEX)),
         ("tail_zero", "the zero fill of slab words [k, WORDS)",
-         ("0", "TILE"), ("k", "WORDS"), (slab_at,), True),
-        ("scatter", "the output scatter", ("0", "len"), ("0", "WORDS"),
-         (_OUT_INDEX, slab_at), False),
+         ("0", "TILE"), ("k", "WORDS"), (slab_at,)),
     )
-    for kind, what, lanes, word_range, maps, before in specs:
+    for kind, what, lanes, word_range, maps in specs:
         nests = [n for n in driver.nests if n.kind == kind]
         if len(nests) != 1:
             fail("OBL-S701", f"expected exactly one nest for {what}, found "
                              f"{len(nests)}")
             continue
         nest = nests[0]
-        if set(nest.loops) != {"a", "jj"}:
-            fail("OBL-S701", f"{what} loops over {sorted(nest.loops)}, not "
-                             f"the (a, jj) word/lane pair: {nest.text!r}")
+        if not _check_nest_loops(nest, what, lanes, fail):
             continue
-        if nest.loops["jj"] != lanes:
-            rule = "OBL-S702" if lanes[1] == "len" else "OBL-S701"
-            fail(rule, f"{what} covers lanes jj ∈ {list(nest.loops['jj'])} but "
-                       f"must cover {list(lanes)} (a ragged tile owns only "
-                       f"its first len lanes)")
         if nest.loops["a"] != word_range:
             fail("OBL-S701", f"{what} covers words a ∈ "
                              f"{list(nest.loops['a'])} but must cover "
@@ -665,11 +669,9 @@ def _certify_gather_scatter(
         problem = _check_nest_map(nest, maps)
         if problem is not None:
             fail("OBL-S703", f"{what} diverges from the address map: {problem}")
-        if first_call is not None and (
-            nest.position > first_call if before else nest.position < last_call
-        ):
-            fail("OBL-S701", f"{what} must run {'before' if before else 'after'}"
-                             f" every chunk")
+        if first_call is not None and nest.position > first_call:
+            fail("OBL-S701", f"{what} must run before every chunk")
+    _certify_scatter(driver, config, macros, slab_at, fail)
     scatter = [n.position for n in driver.nests if n.kind == "scatter"]
     if scatter and not any(f > max(scatter) for f in driver.fence_positions):
         fail("OBL-S702", "no STREAM_FENCE() follows the output scatter inside "
@@ -688,6 +690,110 @@ def _certify_gather_scatter(
                          "loop (tile-private); a slab shared across OpenMP "
                          "threads is a write race")
     return out
+
+
+def _check_nest_loops(nest: _Nest, what: str, lanes, fail) -> bool:
+    """The nest loops over the ``(a, jj)`` pair with ``jj`` over ``lanes``;
+    False when its loops are not even that pair."""
+    if set(nest.loops) != {"a", "jj"}:
+        fail("OBL-S701", f"{what} loops over {sorted(nest.loops)}, not "
+                         f"the (a, jj) word/lane pair: {nest.text!r}")
+        return False
+    if nest.loops["jj"] != lanes:
+        rule = "OBL-S702" if lanes[1] == "len" else "OBL-S701"
+        fail(rule, f"{what} covers lanes jj ∈ {list(nest.loops['jj'])} but "
+                   f"must cover {list(lanes)} (a ragged tile owns only "
+                   f"its first len lanes)")
+    return True
+
+
+def _words(addresses: np.ndarray) -> str:
+    shown = ", ".join(str(int(a)) for a in addresses[:4])
+    return f"{shown}, …" if addresses.size > 4 else shown
+
+
+def _certify_scatter(
+    driver: _ParsedDriver,
+    config: ScheduleConfig,
+    macros: Dict[str, int],
+    slab_at: str,
+    fail,
+) -> None:
+    """The output scatter: one nest per declared range, in range order,
+    each over ``a ∈ [lo, hi)`` × ``jj ∈ [0, len)`` streaming the slab's
+    word ``a`` of lane ``jj`` to column ``a - shift`` of output row
+    ``j0 + jj`` (``stream_word(&out[...], slab[...])``), after the last
+    chunk.  Accounted word by word against the declared ranges: a
+    declared word no nest writes is ``OBL-S701``; a word written that is
+    not declared, or written twice, is ``OBL-S702``; a word streamed to
+    another column, or a slab word outside ``[0, WORDS)``, is
+    ``OBL-S703``; nests out of range order are ``OBL-S701``.
+    """
+    what = "the output scatter"
+    last_call = max(driver.call_positions, default=None)
+    column = np.full(config.words, -1, dtype=np.int64)
+    offset = 0
+    for lo, hi in config.outputs:
+        column[lo:hi] = np.arange(offset, offset + hi - lo)
+        offset += hi - lo
+    writes = np.zeros(config.words, dtype=np.int64)
+    starts: List[int] = []
+    nests = [n for n in driver.nests if n.kind == "scatter"]
+    if not nests:
+        fail("OBL-S701", f"no nest for {what} — the kernel returns nothing")
+    for nest in nests:
+        if not _check_nest_loops(nest, what, ("0", "len"), fail):
+            continue
+        lo, hi = (_eval_bound(b, macros) for b in nest.loops["a"])
+        if lo is None or hi is None or lo >= hi:
+            fail("OBL-S701", f"{what} covers words a ∈ "
+                             f"{list(nest.loops['a'])}, not a static "
+                             f"non-empty range")
+            continue
+        if last_call is not None and nest.position < last_call:
+            fail("OBL-S701", f"{what} must run after every chunk")
+        problem = _check_nest_map(nest, (slab_at,), index=1)
+        target = _OUT_INDEX.match(" ".join(nest.indices[0].split()))
+        if problem is None and target is None:
+            problem = (f"index {nest.indices[0]!r} is not the output map "
+                       f"'(j0 + jj) * OUT_WORDS + a - shift'")
+        if problem is not None:
+            fail("OBL-S703", f"{what} diverges from the address map: {problem}")
+            continue
+        if lo < 0 or hi > config.words:
+            fail("OBL-S703", f"{what} streams slab words [{lo}, {hi}), "
+                             f"outside a lane's [0, {config.words})")
+            continue
+        shift = int(target.group(1) or 0)
+        words = np.arange(lo, hi)
+        cols = column[lo:hi]
+        undeclared = words[cols < 0]
+        if undeclared.size:
+            fail("OBL-S702", f"{what} writes undeclared word(s) "
+                             f"{_words(undeclared)} — only the program's "
+                             f"declared outputs {list(config.outputs)} may "
+                             f"reach the image")
+        moved = words[(cols >= 0) & (cols != words - shift)]
+        if moved.size:
+            a = int(moved[0])
+            fail("OBL-S703", f"{what} streams word {a} to column "
+                             f"{a - shift}, but its declared column is "
+                             f"{int(column[a])}")
+        writes[lo:hi] += 1
+        starts.append(lo)
+    repeated = np.flatnonzero(writes > 1)
+    if repeated.size:
+        fail("OBL-S702", f"{what} streams word(s) {_words(repeated)} more "
+                         f"than once — overlapping scatter ranges")
+    declared = np.flatnonzero(column >= 0)
+    missing = declared[writes[declared] == 0]
+    if nests and missing.size:
+        fail("OBL-S701", f"{what} drops declared output word(s) "
+                         f"{_words(missing)} — the image's columns for them "
+                         f"are never written")
+    if starts != sorted(starts):
+        fail("OBL-S701", f"{what} nests start at words {starts}, not in the "
+                         f"declared range order {list(config.outputs)}")
 
 
 def _certify_stream_helpers(
@@ -712,7 +818,7 @@ def _certify_stream_helpers(
         ]
     return [
         diag("OBL-S703", f"{label}: {problem} — a redefined helper may write "
-                         f"elsewhere than out[(j0 + jj) * WORDS + a]",
+                         f"elsewhere than out[(j0 + jj) * OUT_WORDS + a - shift]",
              program=program.name)
         for problem in problems
     ]
@@ -1151,7 +1257,9 @@ def certify_bulk_schedule(
     geometry_ok = True
     for macro, want, rule, what in (
         ("P", config.p, "OBL-S703", "lane count"),
-        ("WORDS", config.words, "OBL-S703", "output row width"),
+        ("WORDS", config.words, "OBL-S703", "slab lane width"),
+        ("OUT_WORDS", config.out_words, "OBL-S703",
+         "output row width (the declared words)"),
         ("STRIDE", config.stride, "OBL-S703", "row stride"),
         ("SLAB", config.slab_words, "OBL-S703", "slab size"),
         ("TILE", config.tile, "OBL-S701", "tile size"),
@@ -1259,7 +1367,7 @@ def certify_bulk_schedule(
             f"engines' zero-initialised register contract is broken",
             program=name,
         ))
-    moves = _certify_gather_scatter(driver, config, label, name)
+    moves = _certify_gather_scatter(driver, config, macros, label, name)
     moves += _certify_stream_helpers(program, source, label)
     moves_ok = not moves
     out.extend(moves)
@@ -1268,8 +1376,9 @@ def certify_bulk_schedule(
             f"{label}: gather/scatter commute with the address map — each "
             f"tile gathers input word a of lane j0+jj into its private slab "
             f"at the layout's map, zero-fills words [k, WORDS) and absent "
-            f"lanes, and streams only its own lanes to output row j0+jj "
-            f"through the pinned stream_word, then fences"
+            f"lanes, and streams each of its own lanes' {config.out_words} "
+            f"declared output word(s) once, to its column of output row "
+            f"j0+jj, through the pinned stream_word, then fences"
         )
 
     # 7. Partition analysis: simulate the parsed (init, bound, step) over

@@ -177,6 +177,7 @@ def _rewrite(
         dtype=program.dtype,
         name=f"{program.name}+{suffix}",
         meta=dict(program.meta),
+        outputs=program.outputs,
     )
 
 

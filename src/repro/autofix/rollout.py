@@ -131,12 +131,23 @@ def rollout_candidate(
             verdict=verdict, promoted=False, stage="verify", detail=detail
         )
 
+    candidate = proposal.program
+    if candidate.output_ranges != incumbent.output_ranges:
+        detail = (
+            f"candidate {candidate.name!r} declares outputs "
+            f"{list(candidate.output_ranges)} but {incumbent.name!r} returns "
+            f"{list(incumbent.output_ranges)}; incumbent retained"
+        )
+        record_incident("rollback", SITE, detail)
+        return CanaryResult(
+            verdict=verdict, promoted=False, stage="canary", detail=detail
+        )
+
     # Build the candidate's executor with a pinned Arrangement instance so
     # the engine's own promotion resolution cannot recurse into this canary.
     from ..bulk.arrangement import make_arrangement
     from ..bulk.engine import BulkExecutor
 
-    candidate = proposal.program
     arrangement = make_arrangement(
         proposal.arrangement, candidate.memory_words, p
     )
@@ -160,9 +171,11 @@ def rollout_candidate(
     for lane in lanes:
         mem = np.zeros(incumbent.memory_words, dtype=incumbent.dtype)
         mem[: inputs.shape[1]] = inputs[lane]
-        want = run_sequential(incumbent, mem, collect_trace=False).memory
+        memory = run_sequential(incumbent, mem, collect_trace=False).memory
+        words = incumbent.output_index()
+        want = memory[words]
         if want.tobytes() != outputs[lane].tobytes():
-            bad = int(np.nonzero(want != outputs[lane])[0][0])
+            bad = int(words[np.nonzero(want != outputs[lane])[0][0]])
             detail = (
                 f"canary mismatch for {incumbent.name!r}: lane {lane} word "
                 f"{bad} disagrees with the sequential reference "

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ProgramError
+from ..reliability.incidents import record_incident
 from ..trace.ir import Program
 from ..trace.serialize import program_from_dict, program_to_dict
 
@@ -57,9 +58,11 @@ FORMAT_VERSION = 1
 def program_fingerprint(program: Program) -> str:
     """Content hash of a program's semantics-bearing parts.
 
-    Covers instructions, register/memory geometry and dtype; excludes the
-    display name and ``meta`` so ``opt-8`` and ``opt-8+O2`` renamed copies
-    of the same code collide exactly when their instructions do.
+    Covers instructions, register/memory geometry, dtype and declared
+    outputs (two programs that return different words never collide);
+    excludes the display name and ``meta`` so ``opt-8`` and ``opt-8+O2``
+    renamed copies of the same code collide exactly when their
+    instructions do.
     """
     doc = program_to_dict(program)
     doc.pop("name", None)
@@ -188,7 +191,9 @@ class PromotionStore:
     ) -> Tuple[Program, Union[str, object]]:
         """The ``(program, arrangement)`` an executor should actually run.
 
-        The identity when nothing is promoted, the store is disabled, or
+        The identity when nothing is promoted, the store is disabled, the
+        promoted rewrite declares other outputs than ``program`` (that
+        promotion is withdrawn and an incident recorded), or
         ``arrangement`` is not a plain name (an :class:`~repro.bulk.
         arrangement.Arrangement` instance pins the caller's exact layout —
         never second-guessed).
@@ -197,6 +202,17 @@ class PromotionStore:
             return program, arrangement
         promotion = self.lookup(program, arrangement)
         if promotion is None:
+            return program, arrangement
+        if promotion.program.output_ranges != program.output_ranges:
+            # A rewrite that returns other words than the program it
+            # replaces would silently change every caller's result shape.
+            self.withdraw(promotion.fingerprint, promotion.from_arrangement)
+            record_incident(
+                "rollback", "autofix.store",
+                f"refused promotion {promotion.describe()}: it declares "
+                f"outputs {list(promotion.program.output_ranges)}, the "
+                f"incumbent {list(program.output_ranges)}",
+            )
             return program, arrangement
         return promotion.program, promotion.arrangement
 

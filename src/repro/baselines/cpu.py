@@ -34,9 +34,13 @@ class SequentialBaseline:
     program: Program
 
     def run(self, inputs: np.ndarray) -> np.ndarray:
-        """Final memory images, shape ``(p, memory_words)``."""
+        """Every input's declared output words, shape ``(p,
+        output_words)`` — the bulk engines' image (the whole final memory
+        when the program declares no outputs)."""
         out, _ = run_sequential_batch(self.program, np.asarray(inputs))
-        return out
+        if self.program.outputs is None:
+            return out
+        return out[:, self.program.output_index()]
 
     def run_one(self, input_row: np.ndarray) -> np.ndarray:
         """One input's final memory (convenience for spot checks)."""

@@ -176,25 +176,45 @@ class Arrangement(ABC):
     def unpack(self, buffer: np.ndarray) -> np.ndarray:
         """Gather ``buffer`` back into a ``(p, words)`` per-input array."""
 
-    def unpack_rows_into(self, buffer: np.ndarray, out: np.ndarray) -> None:
-        """Gather the first ``out.shape[0]`` inputs' images into ``out``.
+    def unpack_rows_into(
+        self,
+        buffer: np.ndarray,
+        out: np.ndarray,
+        ranges: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> None:
+        """Gather words ``ranges`` of the first ``out.shape[0]`` inputs
+        into ``out``, range after range.
 
-        The externally-owned-buffer unpack path: the serving tier hands the
-        engine a view of a ``multiprocessing.shared_memory`` slot and wants
-        the output images written there *in place* — no ``(p, words)``
-        intermediate, no copy after the fact.  ``out`` must be a
-        ``(q <= p, words)`` array of the buffer's dtype.
+        ``ranges`` are a program's declared outputs (sorted, disjoint,
+        half-open word ranges); ``None`` is the whole memory
+        ``((0, words),)``.  This is the externally-owned-buffer unpack
+        path: the serving tier hands the engine a view of a
+        ``multiprocessing.shared_memory`` slot and wants the output images
+        written there *in place* — no ``(p, words)`` intermediate, no copy
+        after the fact.  ``out`` must be a ``(q <= p, width)`` array of the
+        buffer's dtype, ``width`` the ranges' total, so an OPT image is one
+        word per input instead of the ``2n²``-word memory.
         """
-        q = out.shape[0]
-        if out.ndim != 2 or out.shape[1] != self.words or q > self.p:
+        if ranges is None:
+            ranges = ((0, self.words),)
+        q, width = out.shape[0], sum(hi - lo for lo, hi in ranges)
+        if out.ndim != 2 or out.shape[1] != width or q > self.p:
             raise ArrangementError(
-                f"need an output buffer of shape (q <= {self.p}, "
-                f"{self.words}), got {out.shape}"
+                f"need an output buffer of shape (q <= {self.p}, {width}) "
+                f"for words {list(ranges)}, got {out.shape}"
             )
-        self._unpack_rows(buffer, out)
+        column = 0
+        for lo, hi in ranges:
+            self._unpack_rows(buffer, out, lo, hi, column)
+            column += hi - lo
 
-    def _unpack_rows(self, buffer: np.ndarray, out: np.ndarray) -> None:
-        out[...] = self.unpack(buffer)[: out.shape[0]]  # generic fallback
+    def _unpack_rows(
+        self, buffer: np.ndarray, out: np.ndarray, lo: int, hi: int, column: int
+    ) -> None:
+        """Words ``[lo, hi)`` of the first ``out.shape[0]`` inputs into
+        ``out[:, column : column + hi - lo]``."""
+        q = out.shape[0]
+        out[:, column : column + hi - lo] = self.unpack(buffer)[:q, lo:hi]
 
     @abstractmethod
     def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
@@ -278,18 +298,22 @@ class ColumnWise(Arrangement):
 
     def unpack(self, buffer: np.ndarray) -> np.ndarray:
         out = np.empty((self.p, self.words), dtype=buffer.dtype)
-        self._unpack_rows(buffer, out)
+        self._unpack_rows(buffer, out, 0, self.words, 0)
         return out
 
-    def _unpack_rows(self, buffer: np.ndarray, out: np.ndarray) -> None:
+    def _unpack_rows(
+        self, buffer: np.ndarray, out: np.ndarray, lo: int, hi: int, column: int
+    ) -> None:
         q = out.shape[0]
         rows = (
             self._UNPACK_ROWS
             if q >= self._UNPACK_NARROW_LANES
             else self._UNPACK_NARROW_ROWS
         )
-        for i0 in range(0, self.words, rows):
-            out[:, i0 : i0 + rows] = buffer[i0 : i0 + rows, :q].T
+        shift = column - lo
+        for i0 in range(lo, hi, rows):
+            i1 = min(i0 + rows, hi)
+            out[:, shift + i0 : shift + i1] = buffer[i0:i1, :q].T
 
     def _clear_tail(self, buffer: np.ndarray, k: int) -> None:
         buffer[k:] = 0  # rows [0, k) are fully overwritten by pack
@@ -329,8 +353,10 @@ class RowWise(Arrangement):
     def unpack(self, buffer: np.ndarray) -> np.ndarray:
         return buffer.copy()
 
-    def _unpack_rows(self, buffer: np.ndarray, out: np.ndarray) -> None:
-        out[...] = buffer[: out.shape[0]]
+    def _unpack_rows(
+        self, buffer: np.ndarray, out: np.ndarray, lo: int, hi: int, column: int
+    ) -> None:
+        out[:, column : column + hi - lo] = buffer[: out.shape[0], lo:hi]
 
     def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
         np.copyto(out, buffer[:, local])  # stride-n gather: one word per cache line
@@ -400,8 +426,10 @@ class PaddedRowWise(Arrangement):
     def unpack(self, buffer: np.ndarray) -> np.ndarray:
         return buffer[:, : self.words].copy()
 
-    def _unpack_rows(self, buffer: np.ndarray, out: np.ndarray) -> None:
-        out[...] = buffer[: out.shape[0], : self.words]
+    def _unpack_rows(
+        self, buffer: np.ndarray, out: np.ndarray, lo: int, hi: int, column: int
+    ) -> None:
+        out[:, column : column + hi - lo] = buffer[: out.shape[0], lo:hi]
 
     def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
         np.copyto(out, buffer[:, local])

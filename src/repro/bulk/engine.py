@@ -20,6 +20,10 @@ slab, runs the program there and scatters straight into the row-major
 output image (:func:`repro.codegen.c_emitter.emit_bulk_c`).  A native
 executor allocates the NumPy arranged buffer only if it degrades.
 
+Either backend's output image is ``(p, output_words)``: each input's
+declared output words (:attr:`repro.trace.ir.Program.output_ranges`), or
+its whole final memory when the program declares none.
+
 The instruction stream is *pre-compiled* to a list of argument-bound
 closures once per (program, p) pair, so the per-step interpreter overhead
 is one Python call; all data movement stays in C.  Buffers are allocated
@@ -132,7 +136,8 @@ class BulkResult:
     Attributes
     ----------
     outputs:
-        ``(p, memory_words)`` final memory image of every input.
+        ``(p, output_words)`` image of every input's declared output words
+        (its whole final memory when the program declares none).
     p:
         Number of inputs executed.
     trace_length:
@@ -215,6 +220,7 @@ class BulkExecutor:
             program, arrangement = promotion_store().resolve(
                 program, arrangement
             )
+        program.validate_outputs()
         self.program = program
         self.arrangement = make_arrangement(arrangement, program.memory_words, p)
         self.p = int(p)
@@ -459,24 +465,28 @@ class BulkExecutor:
                     step()
 
     def outputs(self) -> np.ndarray:
-        """Unpack the buffer into per-input ``(p, memory_words)`` images.
+        """Unpack the buffer's declared words into a ``(p, output_words)``
+        image.
 
-        The images go into a fresh :meth:`_output_image`.  A native
-        executor returns the output image its last :meth:`execute` wrote.
+        The image is a fresh :meth:`_output_image`.  A native executor
+        returns the output image its last :meth:`execute` wrote.
         """
         if self._native is not None:
             return self._native_image()
         image = self._output_image()
-        self.arrangement.unpack_rows_into(self._mem, image)
+        self.arrangement.unpack_rows_into(
+            self._mem, image, self.program.output_ranges
+        )
         return image
 
     def _output_image(self) -> np.ndarray:
-        """A ``(p, words)`` image for the kernel or the unpack to overwrite.
+        """A ``(p, output_words)`` image for the kernel or the unpack to
+        overwrite.
 
         Both write every word, so the store behind an earlier image is
         refilled once nothing can reach that image any more: a caller
         that releases each result before the next run skips the page
-        faults of a fresh ``p x words`` allocation.  Every image is a
+        faults of a fresh ``p x output_words`` allocation.  Every image is a
         reshape of a ``frombuffer`` array over the executor-owned store.
         NumPy never collapses a view's base past such an array (its base
         is not an array), so every view of the image, and every buffer
@@ -488,35 +498,36 @@ class BulkExecutor:
         self._image = None
         if self._store is None or self._issued() is not None:
             self._store = np.empty(
-                self.p * self.program.memory_words, dtype=self.program.dtype
+                self.p * self.program.output_words, dtype=self.program.dtype
             )
         # Through a memoryview, so root's base is never an ndarray (that
         # would let views collapse past root straight to the store).
         root = np.frombuffer(memoryview(self._store), dtype=self.program.dtype)
         self._issued = weakref.ref(root)
-        return root.reshape(self.p, self.program.memory_words)
+        return root.reshape(self.p, self.program.output_words)
 
     def _native_image(self) -> np.ndarray:
         if self._image is None:  # nothing executed yet: all-zero memory
             self._image = np.zeros(
-                (self.p, self.program.memory_words), dtype=self.program.dtype
+                (self.p, self.program.output_words), dtype=self.program.dtype
             )
         return self._image
 
     def run_trimmed(self, rows: np.ndarray) -> np.ndarray:
-        """Run ``q <= p`` inputs, padding idle lanes; return ``(q, words)``.
+        """Run ``q <= p`` inputs, padding idle lanes; return
+        ``(q, output_words)``.
 
         The partial-batch path shared by :class:`~repro.bulk.session.
         BulkSession` flushes and the serving layer's micro-batches: the
         ``q`` real inputs occupy the first lanes, the remaining ``p − q``
         lanes run on zero inputs (idle threads of a partially full block),
-        and only the real lanes' output images are unpacked — through
+        and only the real lanes' declared words are unpacked — through
         :meth:`run_trimmed_into`, into a fresh array that shares nothing
         with the executor.
         """
         arr = self._partial_batch(rows)
         out = np.empty(
-            (arr.shape[0], self.program.memory_words), dtype=self.program.dtype
+            (arr.shape[0], self.program.output_words), dtype=self.program.dtype
         )
         self.run_trimmed_into(arr, out)
         return out
@@ -536,25 +547,25 @@ class BulkExecutor:
         return arr
 
     def run_trimmed_into(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """:meth:`run_trimmed` into a caller-owned ``(q, memory_words)`` buffer.
+        """:meth:`run_trimmed` into a caller-owned ``(q, output_words)`` buffer.
 
         The externally-owned-buffer hook for the sharded serving tier: the
         caller hands in a view of a shared-memory slot and the ``q`` real
-        lanes' output images are written there in place — no ``(p, words)``
-        intermediate allocation on the unguarded path.  Padding blocks for
-        partial batches are cached per input width, so a shard serving a
-        steady stream of same-shaped batches allocates nothing after the
-        first.  Guarded/native runs take the checked :meth:`run` path and
-        copy the verified images in.
+        lanes' declared words are written there in place — no
+        ``(p, output_words)`` intermediate allocation on the unguarded
+        path.  Padding blocks for partial batches are cached per input
+        width, so a shard serving a steady stream of same-shaped batches
+        allocates nothing after the first.  Guarded/native runs take the
+        checked :meth:`run` path and copy the verified images in.
         """
         arr = self._partial_batch(rows)
         q = arr.shape[0]
         if (
-            out.shape != (q, self.program.memory_words)
+            out.shape != (q, self.program.output_words)
             or out.dtype != self.program.dtype
         ):
             raise ExecutionError(
-                f"need a ({q}, {self.program.memory_words}) "
+                f"need a ({q}, {self.program.output_words}) "
                 f"{self.program.dtype} output buffer, got {out.dtype} "
                 f"{out.shape}"
             )
@@ -570,7 +581,9 @@ class BulkExecutor:
         self.load(self._padded(arr, q))
         self.execute()
         self.rounds += 1
-        self.arrangement.unpack_rows_into(self._mem, out)
+        self.arrangement.unpack_rows_into(
+            self._mem, out, self.program.output_ranges
+        )
 
     def _padded(self, arr: np.ndarray, q: int) -> np.ndarray:
         """``arr`` zero-extended to ``p`` lanes via a cached scratch block."""
@@ -622,8 +635,8 @@ class BulkExecutor:
         """Execute the program for ``inputs`` of shape ``(p, k)``.
 
         ``k`` may be smaller than ``memory_words``; the remaining words start
-        at zero (scratch space / DP tables).  Returns every input's final
-        memory image.
+        at zero (scratch space / DP tables).  Returns every input's declared
+        output words (its whole final memory when none are declared).
 
         On the native backend with a guard installed, the run is
         spot-checked (and re-run on the NumPy engine after a degradation) —
@@ -671,7 +684,8 @@ class BulkExecutor:
             outputs[:, 0] += 1
         if policy is not None and policy.checking:
             lanes = policy.sample_lanes(self.p, self.rounds)
-            reference = replay_lanes(self.program, arr[lanes])
+            memory = replay_lanes(self.program, arr[lanes])
+            reference = memory[:, self.program.output_index()]
             if reference.tobytes() != outputs[lanes].tobytes():
                 key = self._native.cache_key or None
                 if not policy.fallback:
@@ -710,10 +724,19 @@ class BulkExecutor:
 
         A native executor has no arranged buffer: for the column layout
         this is the transposed ``(words, p)`` view of its output image,
-        for row layouts the image re-arranged into the row buffer.
+        for row layouts the image re-arranged into the row buffer.  When
+        the program declares outputs that image holds only those words,
+        so there is no buffer to show and this raises
+        :class:`~repro.errors.ExecutionError`.
         """
         if self._native is None:
             return self._mem
+        if self.program.outputs is not None:
+            raise ExecutionError(
+                f"native executor for {self.program.name!r} keeps only the "
+                f"declared output words {list(self.program.outputs)}, not "
+                f"the arranged memory"
+            )
         image = self._native_image()
         if self.arrangement.name == "column":
             return image.T
@@ -741,7 +764,7 @@ def bulk_run(
 ) -> np.ndarray:
     """One-shot convenience: build a :class:`BulkExecutor` and run it.
 
-    Returns the ``(p, memory_words)`` outputs.
+    Returns the ``(p, output_words)`` outputs.
     """
     arr = np.asarray(inputs)
     if arr.ndim != 2:

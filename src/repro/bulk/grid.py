@@ -96,7 +96,7 @@ class GridExecutor:
             raise ExecutionError(f"expected (p, k) inputs, got shape {arr.shape}")
         p, k = arr.shape
         chunk = self.config.resident_threads
-        out = np.empty((p, self.program.memory_words), dtype=self.program.dtype)
+        out = np.empty((p, self.program.output_words), dtype=self.program.dtype)
         for lo in range(0, p, chunk):
             piece = arr[lo : lo + chunk]
             if piece.shape[0] < chunk:

@@ -190,8 +190,8 @@ class BulkSession:
         """Add inputs; yield any results completed by full batches.
 
         Accepts single inputs, several inputs, or 2-D arrays of inputs.
-        Results come back in arrival order, one ``memory_words`` array per
-        input.
+        Results come back in arrival order, one ``output_words`` array per
+        input (the program's declared outputs; its whole memory when none).
         """
         for item in items:
             arr = np.asarray(item)

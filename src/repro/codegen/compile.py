@@ -274,8 +274,8 @@ class CompiledProgram:
     ) -> np.ndarray:
         """Native bulk run; mirrors :class:`repro.bulk.BulkExecutor`.
 
-        Returns the ``(p, memory_words)`` outputs regardless of the
-        internal layout.
+        Returns the ``(p, output_words)`` declared outputs regardless of
+        the internal layout.
         """
         if arrangement not in self._bulk:
             raise ExecutionError(f"unknown arrangement {arrangement!r}")
@@ -293,7 +293,8 @@ class CompiledProgram:
             buf = np.zeros((p, words), dtype=self.program.dtype)
             buf[:, :k] = arr
         self._bulk[arrangement](self._buffer(buf), ctypes.c_long(p))
-        return np.ascontiguousarray(buf.T) if arrangement == "column" else buf
+        image = buf.T if arrangement == "column" else buf
+        return np.ascontiguousarray(image[:, self.program.output_index()])
 
 
 def compile_program(
@@ -332,8 +333,9 @@ class CompiledBulkKernel:
     """A compiled whole-program bulk kernel bound to one ``(p, layout)``.
 
     :meth:`run_bulk` reads the row-major ``(p, k)`` inputs and fills a
-    row-major ``(p, memory_words)`` output image — gather, execute and
-    scatter in one call, with no arranged buffer in between.
+    row-major ``(p, OUT_WORDS)`` output image of the program's declared
+    output words — gather, execute and scatter in one call, with no
+    arranged buffer in between.
     """
 
     program: Program
@@ -386,8 +388,9 @@ class CompiledBulkKernel:
         return self._lib is None
 
     def run_bulk(self, inputs: np.ndarray, out: np.ndarray) -> None:
-        """Run the whole program: ``(p, k)`` ``inputs`` → ``(p, words)``
-        ``out``.
+        """Run the whole program: ``(p, k)`` ``inputs`` → ``(p, OUT_WORDS)``
+        ``out``, ``OUT_WORDS`` being the program's
+        :attr:`~repro.trace.ir.Program.output_words`.
 
         Input words ``[k, memory_words)`` start at zero.  Both arrays must
         be C-contiguous in the program dtype; ``out`` is overwritten
@@ -398,6 +401,7 @@ class CompiledBulkKernel:
                 f"bulk kernel for {self.program.name!r} has been closed"
             )
         words = self.program.memory_words
+        out_words = self.program.output_words
         for what, arr in (("inputs", inputs), ("out", out)):
             if (
                 arr.dtype != self.program.dtype
@@ -409,10 +413,10 @@ class CompiledBulkKernel:
                     f"{what} must be a C-contiguous {self.program.dtype} "
                     f"array of {self.p} rows, got {arr.dtype} {arr.shape}"
                 )
-        if inputs.shape[1] > words or out.shape[1] != words:
+        if inputs.shape[1] > words or out.shape[1] != out_words:
             raise ExecutionError(
-                f"need at most {words} input words and {words}-word output "
-                f"rows, got {inputs.shape[1]} and {out.shape[1]}"
+                f"need at most {words} input words and {out_words}-word "
+                f"output rows, got {inputs.shape[1]} and {out.shape[1]}"
             )
         self._kernel(inputs.ctypes.data, inputs.shape[1], out.ctypes.data)
 

@@ -108,7 +108,8 @@ class ShardConfig(ServeConfig):
     slots:
         In-flight batches each ``(shard, key)`` arena can hold.  More slots
         let the router pipeline packing against execution; each slot costs
-        ``2 · max_batch · memory_words`` items of shared memory.
+        ``max_batch · (memory_words + output_words)`` items of shared
+        memory.
     start_method:
         ``multiprocessing`` start method.  ``fork`` (default) starts
         fastest; ``spawn`` is available because everything crossing the
@@ -802,7 +803,8 @@ class ShardedServer(BulkServer):
         n: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> np.ndarray:
-        """Submit one input; await its ``memory_words`` output image.
+        """Submit one input; await its ``output_words`` output image (the
+        program's declared outputs; its whole memory when none).
 
         Same contract as :meth:`BulkServer.submit` — backpressure raises
         :class:`~repro.errors.ServerOverloadedError`, expiry raises
@@ -902,6 +904,7 @@ class ShardedServer(BulkServer):
         cfg = self.config
         arena = SlotArena.create(
             cfg.slots, cfg.max_batch, q.program.memory_words, q.program.dtype,
+            out_words=q.program.output_words,
         )
         shard.arenas[q.key] = arena
         shard.free[q.key] = deque(range(cfg.slots))

@@ -317,7 +317,8 @@ class BulkServer:
         n: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> np.ndarray:
-        """Submit one input; await its ``memory_words`` output image.
+        """Submit one input; await its ``output_words`` output image (the
+        program's declared outputs; its whole memory when none).
 
         Parameters
         ----------

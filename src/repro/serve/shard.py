@@ -196,6 +196,7 @@ def shard_main(
                     arenas[key] = SlotArena.attach(
                         shm_name, slots, max_batch, words, np.dtype(dtype),
                         untrack=untrack_shm,
+                        out_words=programs[key].output_words,
                     )
                 continue
             if kind == wire.MSG_PING:

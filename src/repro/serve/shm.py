@@ -10,8 +10,10 @@ pickling of ndarrays — the classic cost that caps multiprocess serving
 fan-out — never happens.
 
 One :class:`SlotArena` backs one ``(shard, queue key)`` pair and is divided
-into ``slots`` independent slots, each holding an input block and an output
-block of ``(max_batch, words)`` items.  A slot is owned by exactly one
+into ``slots`` independent slots, each holding an input block of
+``(max_batch, words)`` items and an output block of ``(max_batch,
+out_words)`` items — the served program's declared output words, which for
+a single-answer DP is one item per lane.  A slot is owned by exactly one
 in-flight batch at a time: the router acquires it before packing, the shard
 uses it while executing, and the router releases it after reading the
 outputs — so no locking is needed beyond the descriptor hand-off itself.
@@ -66,7 +68,10 @@ class SlotArena:
     shm:
         The attached :class:`~multiprocessing.shared_memory.SharedMemory`.
     slots, max_batch, words:
-        Geometry: each slot holds two ``(max_batch, words)`` blocks.
+        Geometry: each slot holds a ``(max_batch, words)`` input block.
+    out_words:
+        Width of each slot's ``(max_batch, out_words)`` output block (the
+        served program's ``output_words``).
     dtype:
         Item dtype (the served program's dtype).
     owner:
@@ -82,51 +87,67 @@ class SlotArena:
         words: int,
         dtype: np.dtype,
         owner: bool,
+        *,
+        out_words: int,
     ) -> None:
         self.shm = shm
         self.slots = int(slots)
         self.max_batch = int(max_batch)
         self.words = int(words)
+        self.out_words = int(out_words)
         self.dtype = np.dtype(dtype)
         self.owner = owner
         self._closed = False
-        need = self.nbytes_for(slots, max_batch, words, self.dtype)
+        need = self.nbytes_for(
+            slots, max_batch, words, self.dtype, out_words=self.out_words
+        )
         if shm.size < need:
             raise ShardError(
                 f"shared segment {shm.name!r} holds {shm.size} bytes but the "
                 f"arena geometry needs {need}"
             )
-        # One view over the whole arena: [slot, 0=input/1=output, lane, word].
-        self._base = np.frombuffer(
+        # Two views over the arena: every slot's input block, then every
+        # slot's output block, each indexed [slot, lane, word].
+        inputs = self.slots * self.max_batch * self.words
+        self._inputs = np.frombuffer(
+            shm.buf, dtype=self.dtype, count=inputs,
+        ).reshape(self.slots, self.max_batch, self.words)
+        self._outputs = np.frombuffer(
             shm.buf, dtype=self.dtype,
-            count=self.slots * 2 * self.max_batch * self.words,
-        ).reshape(self.slots, 2, self.max_batch, self.words)
+            count=self.slots * self.max_batch * self.out_words,
+            offset=inputs * self.dtype.itemsize,
+        ).reshape(self.slots, self.max_batch, self.out_words)
 
     # -- construction --------------------------------------------------------
     @staticmethod
-    def nbytes_for(slots: int, max_batch: int, words: int, dtype) -> int:
+    def nbytes_for(
+        slots: int, max_batch: int, words: int, dtype, *, out_words: int,
+    ) -> int:
         """Bytes one arena occupies (inputs + outputs for every slot)."""
-        return int(slots) * 2 * int(max_batch) * int(words) * np.dtype(dtype).itemsize
+        width = int(words) + int(out_words)
+        return int(slots) * int(max_batch) * width * np.dtype(dtype).itemsize
 
     @classmethod
     def create(
-        cls, slots: int, max_batch: int, words: int, dtype
+        cls, slots: int, max_batch: int, words: int, dtype, *, out_words: int,
     ) -> "SlotArena":
         """Router side: allocate a fresh zeroed segment (auto-named)."""
-        if slots < 1 or max_batch < 1 or words < 1:
+        if slots < 1 or max_batch < 1 or words < 1 or out_words < 1:
             raise ShardError(
                 f"arena geometry must be positive, got slots={slots}, "
-                f"max_batch={max_batch}, words={words}"
+                f"max_batch={max_batch}, words={words}, out_words={out_words}"
             )
         shm = shared_memory.SharedMemory(
-            create=True, size=cls.nbytes_for(slots, max_batch, words, dtype)
+            create=True,
+            size=cls.nbytes_for(slots, max_batch, words, dtype, out_words=out_words),
         )
-        return cls(shm, slots, max_batch, words, dtype, owner=True)
+        return cls(shm, slots, max_batch, words, dtype, owner=True,
+                   out_words=out_words)
 
     @classmethod
     def attach(
         cls, name: str, slots: int, max_batch: int, words: int, dtype,
-        *, untrack: bool = False,
+        *, out_words: int, untrack: bool = False,
     ) -> "SlotArena":
         """Shard side: map an existing segment by name (never unlinks).
 
@@ -145,7 +166,8 @@ class SlotArena:
             ) from exc
         if untrack:
             _untrack(shm.name)
-        return cls(shm, slots, max_batch, words, dtype, owner=False)
+        return cls(shm, slots, max_batch, words, dtype, owner=False,
+                   out_words=out_words)
 
     @property
     def name(self) -> str:
@@ -160,12 +182,13 @@ class SlotArena:
         ``occupancy``/``width`` trim to the batch's live region; both sides
         of the wire construct the same view from the descriptor alone.
         """
-        view = self._base[self._check_slot(slot), 0]
+        view = self._inputs[self._check_slot(slot)]
         return view[: occupancy, : width] if occupancy is not None else view
 
     def output_view(self, slot: int, occupancy: Optional[int] = None) -> np.ndarray:
-        """Writable view of slot ``slot``'s output block."""
-        view = self._base[self._check_slot(slot), 1]
+        """Writable view of slot ``slot``'s ``(max_batch, out_words)``
+        output block."""
+        view = self._outputs[self._check_slot(slot)]
         return view[:occupancy] if occupancy is not None else view
 
     def output_checksum(self, slot: int, occupancy: int) -> int:
@@ -193,7 +216,7 @@ class SlotArena:
         if self._closed:
             return
         self._closed = True
-        self._base = None
+        self._inputs = self._outputs = None
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - a live view escaped
@@ -212,5 +235,6 @@ class SlotArena:
         return (
             f"SlotArena({self.name!r}, slots={self.slots}, "
             f"max_batch={self.max_batch}, words={self.words}, "
+            f"out_words={self.out_words}, "
             f"dtype={self.dtype}, owner={self.owner})"
         )

@@ -24,7 +24,7 @@ immutable :class:`~repro.trace.ir.Program`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,6 +120,9 @@ class ProgramBuilder:
         self._next_ssa = 0
         self._const_cache: Dict[Union[int, float], Value] = {}
         self.meta: Dict[str, object] = {}
+        #: Declared output ranges of the built program (``None``: the whole
+        #: memory); see :attr:`repro.trace.ir.Program.outputs`.
+        self.outputs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     # -- plumbing --------------------------------------------------------------
     def _fresh(self) -> int:
@@ -287,6 +290,7 @@ class ProgramBuilder:
             dtype=self.dtype,
             name=self.name,
             meta=dict(self.meta),
+            outputs=self.outputs,
         )
         if validate:
             program.validate()

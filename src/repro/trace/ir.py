@@ -159,6 +159,13 @@ class Program:
         Human-readable identifier (shows up in harness tables).
     meta:
         Free-form metadata (e.g. the problem size ``n``).
+    outputs:
+        The words a run returns: sorted, disjoint, non-empty half-open
+        ranges ``((lo, hi), ...)`` of ``[0, memory_words)``, or ``None``
+        for the whole memory.  Consumers read :attr:`output_ranges`; an
+        output image holds the declared words in range order, so word
+        ``a`` of range ``(lo, hi)`` sits in column ``a - lo`` plus the
+        widths of the ranges before it.
 
     The instructions are immutable, so derived quantities
     (:attr:`trace_length`, :meth:`address_trace`) are computed once per
@@ -174,6 +181,18 @@ class Program:
     dtype: np.dtype = np.dtype(np.float64)
     name: str = "program"
     meta: Dict[str, object] = field(default_factory=dict)
+    outputs: Optional[Tuple[Tuple[int, int], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.outputs is not None:
+            try:
+                ranges = tuple((int(lo), int(hi)) for lo, hi in self.outputs)
+            except (TypeError, ValueError) as exc:
+                raise ProgramError(
+                    f"{self.name}: outputs must be (lo, hi) word ranges, got "
+                    f"{self.outputs!r}"
+                ) from exc
+            object.__setattr__(self, "outputs", ranges)
 
     # -- derived quantities ---------------------------------------------------
     @property
@@ -189,6 +208,31 @@ class Program:
                 1 for i in self.instructions if isinstance(i, _MEMORY_INSTRS)
             )
             object.__setattr__(self, "_trace_length", cached)
+        return cached
+
+    @property
+    def output_ranges(self) -> Tuple[Tuple[int, int], ...]:
+        """The declared output ranges; ``((0, memory_words),)`` when none
+        are declared.  Every layer that moves output words reads this."""
+        if self.outputs is None:
+            return ((0, self.memory_words),)
+        return self.outputs
+
+    @property
+    def output_words(self) -> int:
+        """Width of one lane's output image: the declared ranges' total."""
+        return sum(hi - lo for lo, hi in self.output_ranges)
+
+    def output_index(self) -> np.ndarray:
+        """The declared word addresses in output-column order (int64,
+        shared and read-only, like :meth:`address_trace`)."""
+        cached = self.__dict__.get("_output_index")
+        if cached is None:
+            cached = np.concatenate(
+                [np.arange(lo, hi, dtype=np.int64) for lo, hi in self.output_ranges]
+            )
+            cached.setflags(write=False)
+            object.__setattr__(self, "_output_index", cached)
         return cached
 
     @property
@@ -237,14 +281,16 @@ class Program:
     def validate(self) -> None:
         """Structural validation; raises on the first defect.
 
-        Checks register ranges, address bounds, dtype compatibility of
-        bitwise opcodes, and def-before-use of every register.  Every
+        Checks the declared output ranges, register ranges, address
+        bounds, dtype compatibility of bitwise opcodes, and def-before-use
+        of every register.  Every
         message names the program, the instruction index and opcode, and
         the offending register or memory cell, so a failure inside a long
         generated program is locatable without a debugger.
         """
         from .ops import require_dtype_supports  # local import avoids cycle
 
+        self.validate_outputs()
         defined = np.zeros(self.num_registers, dtype=bool)
         for idx, instr in enumerate(self.instructions):
             where = f"{self.name}: instr {idx} [{self._opcode(instr)}] ({instr})"
@@ -282,6 +328,38 @@ class Program:
                     )
                 defined[rd] = True
 
+    def validate_outputs(self) -> None:
+        """The declared output ranges alone (the cheap part of
+        :meth:`validate`, which every executor runs): raises
+        :class:`~repro.errors.ProgramError` for an empty declaration, an
+        empty range, one outside the memory, or ranges that overlap or
+        are out of order."""
+        if self.outputs is None:
+            return
+        if not self.outputs:
+            raise ProgramError(
+                f"{self.name}: outputs declares no range — leave it unset to "
+                f"return the whole memory"
+            )
+        previous = 0
+        for lo, hi in self.outputs:
+            if lo >= hi:
+                raise ProgramError(
+                    f"{self.name}: output range [{lo}, {hi}) is empty"
+                )
+            if lo < 0 or hi > self.memory_words:
+                raise ProgramError(
+                    f"{self.name}: output range [{lo}, {hi}) leaves the "
+                    f"program memory [0, {self.memory_words})"
+                )
+            if lo < previous:
+                raise ProgramError(
+                    f"{self.name}: output range [{lo}, {hi}) overlaps or "
+                    f"precedes the range before it — ranges must be sorted "
+                    f"and disjoint"
+                )
+            previous = hi
+
     def listing(self, limit: Optional[int] = 40) -> str:
         """A readable disassembly (truncated to ``limit`` lines)."""
         lines: List[str] = [
@@ -308,9 +386,10 @@ def concat_programs(programs: Sequence[Program], name: str = "concat") -> Progra
     """Concatenate programs over the same memory into one straight-line program.
 
     Useful for phase-structured algorithms (e.g. FFT stages built
-    separately).  All inputs must agree on ``memory_words`` and ``dtype``;
-    the register file is the maximum of the parts (registers are dead across
-    program boundaries by construction, so reuse is safe).
+    separately).  All inputs must agree on ``memory_words``, ``dtype`` and
+    declared ``outputs`` (the result keeps them); the register file is the
+    maximum of the parts (registers are dead across program boundaries by
+    construction, so reuse is safe).
     """
     if not programs:
         raise ProgramError("cannot concatenate an empty program list")
@@ -322,6 +401,11 @@ def concat_programs(programs: Sequence[Program], name: str = "concat") -> Progra
                 "programs disagree on memory geometry: "
                 f"({prog.memory_words}, {prog.dtype}) vs ({words}, {dtype})"
             )
+        if prog.outputs != programs[0].outputs:
+            raise ProgramError(
+                f"programs disagree on declared outputs: {prog.outputs} vs "
+                f"{programs[0].outputs}"
+            )
     instrs: List[Instruction] = []
     for prog in programs:
         instrs.extend(prog.instructions)
@@ -331,4 +415,5 @@ def concat_programs(programs: Sequence[Program], name: str = "concat") -> Progra
         memory_words=words,
         dtype=dtype,
         name=name,
+        outputs=programs[0].outputs,
     )

@@ -249,6 +249,7 @@ def optimize(
         dtype=program.dtype,
         name=f"{program.name}+O{level}",
         meta=dict(program.meta),
+        outputs=program.outputs,
     )
     optimized.validate()
     if verify:

@@ -70,8 +70,12 @@ def _decode_instruction(doc: Dict[str, Any], idx: int) -> Instruction:
 
 
 def program_to_dict(program: Program) -> Dict[str, Any]:
-    """A JSON-serialisable document describing ``program``."""
-    return {
+    """A JSON-serialisable document describing ``program``.
+
+    Declared outputs are the optional ``outputs`` key; a document without
+    it returns the whole memory, so older documents read unchanged.
+    """
+    doc = {
         "format": "repro-oblivious-program",
         "version": FORMAT_VERSION,
         "name": program.name,
@@ -81,6 +85,9 @@ def program_to_dict(program: Program) -> Dict[str, Any]:
         "meta": dict(program.meta),
         "instructions": [_ENCODERS[type(i)](i) for i in program.instructions],
     }
+    if program.outputs is not None:
+        doc["outputs"] = [[lo, hi] for lo, hi in program.outputs]
+    return doc
 
 
 def program_from_dict(doc: Dict[str, Any]) -> Program:
@@ -104,6 +111,7 @@ def program_from_dict(doc: Dict[str, Any]) -> Program:
             dtype=np.dtype(doc["dtype"]),
             name=str(doc.get("name", "program")),
             meta=dict(doc.get("meta", {})),
+            outputs=doc.get("outputs"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ProgramError(f"malformed program document: {exc}") from exc

@@ -21,6 +21,15 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * chunk calls reordered in the driver                      -> ``OBL-S701``
 * the per-tile register slab zeroing skipped               -> ``OBL-S701``
 
+and, on a program with declared outputs (:class:`TestDeclaredOutputs`):
+
+* a scatter that drops a declared word                     -> ``OBL-S701``
+* a scatter that writes an undeclared word                 -> ``OBL-S702``
+* a wrong ``OUT_WORDS``                                    -> ``OBL-S703``
+* two ranges' scatters overlapping                         -> ``OBL-S702``
+* two ranges' scatters out of order                        -> ``OBL-S701``
+* a range streamed to the wrong columns                    -> ``OBL-S703``
+
 Every mutation starts from a source that certifies cleanly, so a failure
 is attributable to the seeded bug alone.
 """
@@ -38,9 +47,10 @@ TILE = 16
 THREADS = 4
 
 
-def _program():
+def _program(outputs=None):
     return Program(
         name="sched-mut",
+        outputs=outputs,
         instructions=(
             Load(0, 0),
             Const(1, 5),
@@ -146,8 +156,8 @@ class TestSeededScheduleBugs:
         program, source, config = clean
         mutated = _mutate(
             source,
-            "stream_word(&out[(j0 + jj) * WORDS + a], ",
-            "stream_word(&out[(j0 + TILE - 1 - jj) * WORDS + a], ",
+            "stream_word(&out[(j0 + jj) * OUT_WORDS + a], ",
+            "stream_word(&out[(j0 + TILE - 1 - jj) * OUT_WORDS + a], ",
         )
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert any(
@@ -203,14 +213,14 @@ class TestSeededScheduleBugs:
         # with the weakly-ordered streamed ones, outside the proof.
         scatter = (
             "        for (long jj = 0; jj < len; ++jj)\n"
-            "            for (long a = 0; a < WORDS; ++a)\n"
-            "                stream_word(&out[(j0 + jj) * WORDS + a], "
+            "            for (long a = 0; a < 4; ++a)\n"
+            "                stream_word(&out[(j0 + jj) * OUT_WORDS + a], "
             "slab[a * TILE + jj]);\n"
         )
         plain = (
             "        for (long jj = 0; jj < len; ++jj)\n"
-            "            for (long a = 0; a < WORDS; ++a)\n"
-            "                out[(j0 + jj) * WORDS + a] = slab[a * TILE + jj];\n"
+            "            for (long a = 0; a < 4; ++a)\n"
+            "                out[(j0 + jj) * OUT_WORDS + a] = slab[a * TILE + jj];\n"
         )
         mutated = _mutate(source, scatter, scatter + plain)
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
@@ -303,6 +313,83 @@ class TestSeededScheduleBugs:
         )
         rules = _rules(program, mutated, config)
         assert "OBL-S701" in rules
+
+
+#: Words 0 and 2..3 of the four: two ranges, the second shifted one column.
+RANGES = ((0, 1), (2, 4))
+FIRST = (
+    "        for (long jj = 0; jj < len; ++jj)\n"
+    "            for (long a = 0; a < 1; ++a)\n"
+    "                stream_word(&out[(j0 + jj) * OUT_WORDS + a], "
+    "slab[a * TILE + jj]);\n"
+)
+SECOND = (
+    "        for (long jj = 0; jj < len; ++jj)\n"
+    "            for (long a = 2; a < 4; ++a)\n"
+    "                stream_word(&out[(j0 + jj) * OUT_WORDS + a - 1], "
+    "slab[a * TILE + jj]);\n"
+)
+
+
+@pytest.fixture()
+def declared():
+    program = _program(RANGES)
+    source, config = _emit(program)
+    assert FIRST + SECOND in source
+    assert "#define OUT_WORDS 3L" in source
+    assert _rules(program, source, config) == []
+    return program, source, config
+
+
+class TestDeclaredOutputs:
+    def test_dropped_declared_word(self, declared):
+        program, source, config = declared
+        mutated = _mutate(source, "a < 4;", "a < 3;")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S701"]
+        assert "drops declared output word(s) 3" in diags[0].message
+
+    def test_undeclared_word_written(self, declared):
+        program, source, config = declared
+        mutated = _mutate(source, "a < 1;", "a < 2;")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S702"]
+        assert "undeclared word(s) 1" in diags[0].message
+
+    def test_wrong_out_words(self, declared):
+        program, source, config = declared
+        mutated = _mutate(source, "#define OUT_WORDS 3L", "#define OUT_WORDS 4L")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "OUT_WORDS=4" in diags[0].message
+
+    def test_overlapping_ranges(self, declared):
+        program, source, config = declared
+        mutated = _mutate(source, FIRST + SECOND, FIRST + SECOND + SECOND)
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S702"]
+        assert "more than once" in diags[0].message
+
+    def test_ranges_out_of_order(self, declared):
+        program, source, config = declared
+        # Each nest keeps its right columns: only the order is wrong.
+        mutated = _mutate(source, FIRST + SECOND, SECOND + FIRST)
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S701"]
+        assert "declared range order" in diags[0].message
+
+    def test_range_streamed_to_the_wrong_columns(self, declared):
+        program, source, config = declared
+        mutated = _mutate(source, "OUT_WORDS + a - 1]", "OUT_WORDS + a - 2]")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "declared column is 1" in diags[0].message
+
+    def test_certificate_counts_the_declared_words(self, declared):
+        program, source, config = declared
+        _, certs, proof = certify_bulk_schedule(program, source, config)
+        assert proof.certified
+        assert any("3 declared output word(s)" in c for c in certs)
 
 
 class TestMutationsAreErrors:

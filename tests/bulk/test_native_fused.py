@@ -15,6 +15,7 @@ changes above the kernel:
   persisted tuning from the lane-block era loads as stale.
 """
 
+import dataclasses
 import json
 import platform
 
@@ -50,9 +51,11 @@ def _tmp_kernel_cache(tmp_path, monkeypatch):
 
 
 def _case(name="opt", p=13, seed=3):
+    """A registry program with its declared outputs dropped: these tests
+    pin the whole-memory image contract."""
     spec = get_spec(name)
     n = spec.sizes[0]
-    program = spec.build(n)
+    program = dataclasses.replace(spec.build(n), outputs=None)
     return program, spec.make_inputs(np.random.default_rng(seed), n, p)
 
 

@@ -17,6 +17,7 @@ import pytest
 from repro.algorithms.registry import get_spec
 from repro.bulk import BulkExecutor
 from repro.bulk.arrangement import make_arrangement
+from repro.errors import ArrangementError
 from repro.trace import run_sequential
 
 needs_refcounting = pytest.mark.skipif(
@@ -131,6 +132,24 @@ def test_row_layouts_unpack_their_rows(kind):
     assert arrangement.unpack(buffer).tobytes() == (
         np.ascontiguousarray(buffer[:, :words]).tobytes()
     )
+
+
+@pytest.mark.parametrize("kind", ["column", "row", "padded-row"])
+@pytest.mark.parametrize("q", [200, 127, 13])
+def test_word_ranges_unpack_into_their_columns(kind, q):
+    # Declared outputs: several ranges, ragged against the 32- and 256-row
+    # blocks, land back to back in the order given.
+    words, p = 300, 200
+    ranges = ((0, 1), (5, 70), (100, 101), (130, 300))
+    arrangement = make_arrangement(kind, words, p)
+    buffer = np.random.default_rng(q).random(arrangement.allocate(np.float64).shape)
+    columns = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    out = np.full((q, columns.size), -1.0)
+    arrangement.unpack_rows_into(buffer, out, ranges)
+    want = arrangement.unpack(buffer)[:q][:, columns]
+    assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+    with pytest.raises(ArrangementError):
+        arrangement.unpack_rows_into(buffer, np.empty((q, words)), ranges)
 
 
 @pytest.mark.parametrize("arrangement", ["column", "row", "padded-row"])

@@ -55,8 +55,9 @@ class TestShardCountInvisibility:
         for seed, (name, n) in enumerate(WORKLOADS):
             program = get_spec(name).build(n)
             for row in _fixed_inputs(name, n, seed):
+                # A reply carries the program's declared output words.
                 expected.append(
                     run_sequential(program, row, collect_trace=False)
-                    .memory.tobytes()
+                    .memory[program.output_index()].tobytes()
                 )
         assert sharded == expected, "serving path diverged from the interpreter"

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ShardError
 from repro.serve.shm import SlotArena
 
-GEO = dict(slots=3, max_batch=8, words=5)
+GEO = dict(slots=3, max_batch=8, words=5, out_words=5)
 
 
 @pytest.fixture
@@ -20,8 +20,8 @@ def arena():
 
 class TestGeometry:
     def test_nbytes_accounts_inputs_and_outputs(self):
-        assert SlotArena.nbytes_for(3, 8, 5, np.float64) == 3 * 2 * 8 * 5 * 8
-        assert SlotArena.nbytes_for(1, 1, 1, np.int64) == 16
+        assert SlotArena.nbytes_for(3, 8, 5, np.float64, out_words=5) == 3 * 2 * 8 * 5 * 8
+        assert SlotArena.nbytes_for(1, 1, 1, np.int64, out_words=1) == 16
 
     def test_create_is_zeroed_and_named(self, arena):
         assert arena.owner and arena.name
@@ -31,7 +31,8 @@ class TestGeometry:
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ShardError):
-            SlotArena.create(slots=0, max_batch=8, words=5, dtype=np.float64)
+            SlotArena.create(slots=0, max_batch=8, words=5, dtype=np.float64,
+                             out_words=5)
 
     def test_slot_out_of_range(self, arena):
         with pytest.raises(ShardError):
@@ -41,7 +42,7 @@ class TestGeometry:
 
     def test_trimmed_views(self, arena):
         assert arena.input_view(0, occupancy=4, width=2).shape == (4, 2)
-        assert arena.output_view(0, occupancy=4).shape == (4, GEO["words"])
+        assert arena.output_view(0, occupancy=4).shape == (4, GEO["out_words"])
         assert arena.input_view(0).shape == (GEO["max_batch"], GEO["words"])
 
 
@@ -65,24 +66,26 @@ class TestSharedVisibility:
 
     def test_attach_missing_segment_raises(self):
         with pytest.raises(ShardError):
-            SlotArena.attach("repro-no-such-segment", 1, 1, 1, np.float64)
+            SlotArena.attach("repro-no-such-segment", 1, 1, 1, np.float64,
+                             out_words=1)
 
     def test_attach_undersized_segment_raises(self, arena):
         with pytest.raises(ShardError):
             SlotArena.attach(
                 arena.name, GEO["slots"] + 1, GEO["max_batch"], GEO["words"],
-                np.float64,
+                np.float64, out_words=GEO["out_words"],
             )
 
 
 class TestLifecycle:
     def test_owner_close_unlinks(self):
-        arena = SlotArena.create(slots=1, max_batch=2, words=2, dtype=np.float64)
+        arena = SlotArena.create(slots=1, max_batch=2, words=2, dtype=np.float64,
+                                 out_words=2)
         name = arena.name
         arena.close()
         assert arena.closed
         with pytest.raises(ShardError):
-            SlotArena.attach(name, 1, 2, 2, np.float64)
+            SlotArena.attach(name, 1, 2, 2, np.float64, out_words=2)
 
     def test_close_is_idempotent(self, arena):
         arena.close()
@@ -107,8 +110,8 @@ class TestOutputChecksum:
     def test_matches_across_owner_and_attacher(self, arena):
         other = SlotArena.attach(arena.name, dtype=np.float64, **GEO)
         try:
-            arena.output_view(2, 4)[:] = np.arange(4 * GEO["words"]).reshape(
-                4, GEO["words"]
+            arena.output_view(2, 4)[:] = np.arange(4 * GEO["out_words"]).reshape(
+                4, GEO["out_words"]
             )
             # Shard-side (attacher) and router-side (owner) compute the same
             # checksum over the same shared bytes.
