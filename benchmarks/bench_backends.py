@@ -26,7 +26,8 @@ end-to-end is fused NumPy ``run()`` / tiled ``run()``,
 ``native-threaded`` is tiled execute / threaded execute, and
 ``guard-replay`` is the spot guard's reference cost: replaying its 4
 sampled lanes on a fused NumPy executor / through the program's IR
-replay (:mod:`repro.trace.replay`, what the guard runs).
+replay (:mod:`repro.trace.replay`, what the guard runs), recorded as the
+median of 21 per-repeat ratios of alternating legs.
 
 Two timings are reported per engine.  ``execute`` is the engine phase —
 for the NumPy engines the program alone, for the native kernels the
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -129,10 +131,14 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _guard_replays(program, inputs, repeats: int = 9) -> tuple:
-    """Best-of seconds of the guard's 4-lane reference: fused NumPy, IR replay.
+def _guard_replays(program, inputs, repeats: int = 21) -> tuple:
+    """The guard's 4-lane reference, fused NumPy against IR replay.
 
-    The two legs alternate within each repeat, so host noise hits both.
+    The two legs alternate within each repeat, so host noise hits both,
+    and each repeat yields one ratio.  Both legs last only milliseconds,
+    so a ratio of two best-ofs swings with whichever leg caught a quiet
+    moment; the median of the per-repeat ratios does not.  Returns
+    ``(lanes, median numpy seconds, median replay seconds, median ratio)``.
     """
     rows = inputs[GuardPolicy().sample_lanes(len(inputs))]
     numpy_ref = BulkExecutor(program, len(rows), "column")
@@ -146,7 +152,11 @@ def _guard_replays(program, inputs, repeats: int = 9) -> tuple:
             replay_t.append(_best_of(lambda: replay_lanes(program, rows), 1))
     finally:
         numpy_ref.close()
-    return len(rows), min(numpy_t), min(replay_t)
+    ratios = [a / b for a, b in zip(numpy_t, replay_t)]
+    return (
+        len(rows), statistics.median(numpy_t), statistics.median(replay_t),
+        statistics.median(ratios),
+    )
 
 
 def _seed_run(ex, inputs) -> np.ndarray:
@@ -253,12 +263,12 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
             f"native-tiled ({os.cpu_count()} host cpus)"
         )
 
-    lanes, numpy_replay, ir_replay = _guard_replays(program, inputs)
+    lanes, numpy_replay, ir_replay, replay_x = _guard_replays(program, inputs)
     lines.append(
         f"guard replay: {lanes} sampled lanes through the IR replay "
         f"{ir_replay * 1e3:.2f} ms vs a fused NumPy executor "
-        f"{numpy_replay * 1e3:.2f} ms = {numpy_replay / ir_replay:.2f}x "
-        f"(bit-identical)"
+        f"{numpy_replay * 1e3:.2f} ms (medians) = {replay_x:.2f}x, the "
+        f"median per-repeat ratio (bit-identical)"
     )
 
     stats = made["fused"].fusion_stats
@@ -326,7 +336,7 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
         records.append(bench_record(
             bench="backends", workload="opt", n=n, p=lanes,
             backend="guard-replay", shards=0, method="execute",
-            seconds=ir_replay, derived_x=numpy_replay / ir_replay,
+            seconds=ir_replay, derived_x=replay_x,
         ))
         write_bench(json_path, records)
     return text

@@ -217,7 +217,10 @@ _CATALOG: Tuple[Rule, ...] = (
         "mis-zeroed register slab, a slab whose words [k, WORDS) or absent "
         "ragged-tile lanes are not zeroed before the chunks run, a gather "
         "or scatter that misses words or runs on the wrong side of the "
-        "chunks, or a span cross-check disagreement — so the "
+        "chunks, a kernel-frame line carrying one of these obligations "
+        "missing, changed or compiled only under an #if the frame does not "
+        "have, a line the frame lacks, or a span cross-check disagreement "
+        "— so the "
         "fast path computes something other than the program that was "
         "priced and verified.",
     ),
@@ -231,7 +234,9 @@ _CATALOG: Tuple[Rule, ...] = (
         "a gap means lanes are silently never computed; a gather or scatter "
         "over more lanes than the tile owns touches another tile's rows; a "
         "data or register slab shared between tiles is a race through "
-        "stack memory.  Any of "
+        "stack memory; a tile-loop, lane-loop, slab, pragma or fence line "
+        "of the kernel frame missing, changed or conditionally compiled "
+        "voids the partition proof.  Any of "
         "these breaks the bit-identity contract with the NumPy engine "
         "nondeterministically — the worst kind of wrong.",
     ),
@@ -245,7 +250,9 @@ _CATALOG: Tuple[Rule, ...] = (
         "Every chunk access, the gather of input word a of lane j0 + jj, "
         "and the scatter to output row j0 + jj must use exactly those maps, "
         "with P, WORDS, STRIDE and SLAB equal to the geometry the engine "
-        "allocates.  A finding means lanes alias, a lane reads another "
+        "allocates — as the preprocessor sees them, so a redefined, "
+        "#undef'd or shadowed constant counts.  A finding means lanes "
+        "alias, a lane reads another "
         "input's words, or results land in a neighbouring input's row.",
     ),
     Rule(

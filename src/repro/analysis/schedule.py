@@ -11,14 +11,35 @@ This module is a certifier that **proves, per
 ``(program, arrangement, tile, threads)`` configuration**, that the
 schedule commutes with the arrangement's address map.  Like the
 codegen linter it works on the *emitted source text*, never on the
-emitter's own bookkeeping (the thing being checked must not check itself):
-the schedule is re-derived from the C and replayed symbolically with the
-same value-numbering engine that backs the pass-equivalence prover.
+emitter's own bookkeeping (the thing being checked must not check itself).
+It splits the proof in two (see ``docs/SCHEDULE.md``):
 
-Three proof obligations (see ``docs/SCHEDULE.md``):
+**The kernel frame and its lemma** (``OBL-S701``..``OBL-S703``)
+    Everything outside the chunk bodies — schedule header, ``#define``
+    block, chunk signatures and lane loops, and the tile driver with its
+    gather, zero fills, chunk calls, one streamed scatter nest per
+    declared output range and fence — is fixed text that depends only on
+    the request.  The certifier renders its own copy (:func:`_render_frame`)
+    and holds the source to it: from the header on, every line is a frame
+    line, byte for byte and under the frame's own ``#if`` nest, or a
+    parsed chunk-body statement; before the header the only preprocessor
+    lines are the prelude's ``#include`` lines and the pinned
+    ``stream_word``/``STREAM_FENCE`` helpers.  A missing, changed or
+    conditionally compiled frame line breaks that line's obligation; a
+    line the frame lacks is ``OBL-S702`` when it touches ``out``,
+    ``OBL-S703`` when it redefines a geometry macro or a stream helper,
+    and ``OBL-S701`` otherwise.  The scatter nests are accounted word by
+    word against the declared outputs.  The frame's tile driver is proven
+    once, for every ``P``, by the *driver lemma*: its tiles partition
+    ``[0, P)``, the gather and zero fills build the zero-extended input
+    image in an injective slab map, every declared word of every real lane
+    is streamed once and fenced, and both slabs are tile-private — so
+    ``schedule(static)`` threads write disjoint sets (race freedom).  No
+    per-kernel code simulates the tile loop; ``P`` enters only through
+    the frame's ``#define P`` line.
 
 **Trace preservation** (``OBL-S701``)
-    One symbolic lane is replayed through the chunk bodies in the driver's
+    One symbolic lane is replayed through the chunk bodies in the frame's
     call order: every parsed statement must align with the next IR
     instruction, every access must carry the IR's address, every store's
     symbolic value must equal — by value number — what the sequential
@@ -29,32 +50,7 @@ Three proof obligations (see ``docs/SCHEDULE.md``):
     lane-uniform (``jj`` stays symbolic), so one replay covers every lane
     of every tile.  The lockstep reference is
     :func:`~.lint.equiv.symbolic_state`'s semantics — this is the prover
-    extension, not a new engine.  The tile driver's data movement carries
-    its own obligations: the gather must copy input word ``a`` of lane
-    ``j0 + jj`` into the slab at the layout's map, words ``[k, WORDS)``
-    and a ragged tile's absent lanes must be zeroed first, and the scatter
-    must write every declared output word of each real lane exactly once,
-    to its own column of its own output row, after the last chunk, and no
-    undeclared word (index maps and ``OUT_WORDS`` ``OBL-S703``, coverage
-    and order ``OBL-S701``, undeclared or repeated words and lane bounds
-    ``OBL-S702``).  The scatter writes through
-    ``stream_word(&out[...], slab[...])``, a non-temporal store whose
-    definition (and ``STREAM_FENCE``'s) must be the pinned text
-    (``OBL-S703``); a ``STREAM_FENCE()`` must follow it inside the tile
-    loop, and no other statement may write ``out`` (``OBL-S702``:
-    streamed stores are weakly ordered across threads).
-
-**Race freedom** (``OBL-S702``/``OBL-S703``)
-    The tile loop's ``(init, bound, step)`` are parsed and simulated over
-    the integers: the resulting tiles must partition ``[0, p)`` exactly —
-    no overlap (a write-write race between OpenMP threads), no gap (lost
-    lanes), no excursion past ``p``.  Each tile scatters only its own
-    lanes' output rows.  The slab map must be injective: ``a·TILE + jj``
-    with ``jj < TILE`` (column) or ``jj·STRIDE + a`` with ``a < WORDS ≤
-    STRIDE`` (row) decomposes uniquely inside the ``SLAB``-word slab.
-    Both slabs (data and registers) must be declared *inside* the tile
-    loop (tile-private) and the ``#pragma omp parallel for
-    schedule(static)`` must govern the tile loop itself.
+    extension, not a new engine.
 
 **Forwarding soundness** (``OBL-S704``)
     An elided load is admitted only when the forwarded variable's value
@@ -72,10 +68,10 @@ values flow where, in what order, under which thread partition.
 
 from __future__ import annotations
 
-import ast
+import difflib
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -220,7 +216,6 @@ def schedule_config(
 class ScheduleProof:
     """What was proven about one emitted schedule.
 
-    ``tiles`` is the parsed ``(first_lane, length)`` decomposition;
     ``span_tiled``/``span_sequential`` are the modeled stage counts of one
     coalesced bulk step under the tiled and the flat issue order (equal
     when ``w`` divides the tile; absent when no ``w`` was supplied).
@@ -229,7 +224,6 @@ class ScheduleProof:
     program: str
     label: str
     config: ScheduleConfig
-    tiles: Tuple[Tuple[int, int], ...]
     accesses_per_lane: int
     elided_loads: int
     spill_loads: int
@@ -237,6 +231,13 @@ class ScheduleProof:
     span_tiled: Optional[int]
     span_sequential: Optional[int]
     certified: bool
+
+    @property
+    def tiles(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(first_lane, length)`` tiles of ``[0, P)`` — the driver
+        lemma's closed form: ``TILE`` lanes each, the last one ``P - j0``."""
+        c = self.config
+        return tuple((j0, min(c.tile, c.p - j0)) for j0 in range(0, c.p, c.tile))
 
     def describe(self) -> str:
         c = self.config
@@ -248,7 +249,7 @@ class ScheduleProof:
                 f"(sequential {self.span_sequential})"
             )
         return (
-            f"{self.label}: {status} — {len(self.tiles)} tile(s) partition "
+            f"{self.label}: {status} — {-(-c.p // c.tile)} tile(s) partition "
             f"{c.p} lane(s), {self.accesses_per_lane} access(es)/lane with "
             f"{self.elided_loads} load(s) forwarded, "
             f"{self.spill_loads}/{self.spill_saves} slab load/save(s) per "
@@ -256,20 +257,32 @@ class ScheduleProof:
         )
 
 
-# -- source parsing -----------------------------------------------------------
+# -- the kernel frame ---------------------------------------------------------
 
-_MACROS = (
-    "P", "WORDS", "OUT_WORDS", "STRIDE", "TILE", "SLAB", "NREGS", "THREADS"
-)
-_DEFINE_RE = re.compile(
-    r"^#define (P|WORDS|OUT_WORDS|STRIDE|TILE|SLAB|NREGS|THREADS) (-?\d+)L?\b"
-)
+#: The kernel's exported symbol: the ABI ``compile_bulk`` loads.
+_KERNEL = "repro_bulk_kernel"
+
+#: Per schedule constant: the rule a wrong value breaks and what it is.
+#: Geometry (the address maps) is ``OBL-S703``; shape is ``OBL-S701``.
+_MACRO_RULES = {
+    "P": ("OBL-S703", "lane count"),
+    "WORDS": ("OBL-S703", "slab lane width"),
+    "OUT_WORDS": ("OBL-S703", "output row width (the declared words)"),
+    "STRIDE": ("OBL-S703", "row stride"),
+    "SLAB": ("OBL-S703", "slab size"),
+    "TILE": ("OBL-S701", "tile size"),
+    "NREGS": ("OBL-S701", "register count"),
+    "THREADS": ("OBL-S701", "thread count"),
+}
+_DEFINE_RE = re.compile(r"^#define (\w+) (-?\d+)L?\b")
 _HEADER_RE = re.compile(
-    r"/\* schedule: layout=(\w+) p=(\d+) words=(\d+) stride=(\d+) "
-    r"chunk=(\d+) tile=(\d+) threads=(\d+) \*/"
+    r"^/\* schedule: layout=(?P<layout>\w+) p=(?P<p>\d+) words=(?P<words>\d+) "
+    r"stride=(?P<stride>\d+) chunk=(?P<chunk>\d+) tile=(?P<tile>\d+) "
+    r"threads=(?P<threads>\d+) \*/$"
 )
+_HEADER_START = "/* schedule: "
 _CHUNK_START = re.compile(r"^static void chunk_(\d+)\(")
-_LANE_LOOP = "for (long jj = 0; jj < TILE; ++jj) {"
+_CHUNK_CALL = re.compile(r"^chunk_(\d+)\(slab, regs\);$")
 _SPILL_LOAD = re.compile(
     r"^(?:int64_t |double )?r(\d+) = regs\[(\d+) \* TILE \+ jj\];$"
 )
@@ -277,31 +290,24 @@ _SPILL_SAVE = re.compile(r"^regs\[(\d+) \* TILE \+ jj\] = r(\d+);$")
 _MEM_READ = re.compile(r"^(?:int64_t |double )?([rv]\d+) = mem\[(.+)\];$")
 _MEM_WRITE = re.compile(r"^mem\[(.+)\] = r(\d+);$")
 _ASSIGN = re.compile(r"^(?:int64_t |double )?r(\d+) = (.+);$")
+_COMMENT = re.compile(r"/\*|\*/|//")
+#: A right-hand side may compute, never write: no assignment, increment
+#: or second statement hides inside it.
+_SIDE_EFFECT = re.compile(r"(?<![=!<>])=(?!=)|\+\+|--|;")
 _COL_ADDR = re.compile(r"^(\d+) \* TILE \+ jj$")
 _ROW_ADDR = re.compile(r"^jj \* STRIDE \+ (\d+)$")
 _IDENT = re.compile(r"\b[rv]\d+\b")
 _SINGLE_IDENT = re.compile(r"^[rv]\d+$")
 _INT_IMM = re.compile(r"^INT64_C\((-?\d+)\)$")
-_KERNEL_START = re.compile(
-    r"^void \w+\(const (int64_t|double) \*restrict in, long k, "
-    r"\1 \*restrict out\) \{$"
-)
-_FOR_J0 = re.compile(r"^for \(long j0 = (.+); j0 < (.+); j0 \+= (.+)\) \{$")
-_SLAB_DECL = re.compile(r"^(?:int64_t|double) regs\[NREGS \* TILE\];$")
-_DATA_SLAB_DECL = re.compile(r"^(?:int64_t|double) slab\[SLAB\];$")
-_CHUNK_CALL = re.compile(r"^chunk_(\d+)\(slab, regs\);$")
-_LEN_STMT = "long len = (P - j0 < TILE) ? P - j0 : TILE;"
-_ZERO_STMT = "for (long i = 0; i < NREGS * TILE; ++i) regs[i] = 0;"
-_RAGGED_ZERO = re.compile(
-    r"^(?:if \(len < TILE\) )?for \(long i = 0; i < SLAB; \+\+i\) slab\[i\] = 0;$"
-)
-_NEST_LOOP = re.compile(r"^for \(long (\w+) = (\w+); \1 < (\w+); \+\+\1\)$")
-_GATHER = re.compile(r"^slab\[(.+)\] = in\[(.+)\];$")
-_TAIL_ZERO = re.compile(r"^slab\[(.+)\] = 0;$")
+_NEST_LANES = re.compile(r"^for \(long jj = 0; jj < (\w+); \+\+jj\)$")
+_NEST_WORDS = re.compile(r"^for \(long a = (-?\w+); a < (-?\w+); \+\+a\)$")
 _SCATTER = re.compile(r"^stream_word\(&out\[([^;]+)\], slab\[([^;]+)\]\);$")
-_OUT_WRITE = re.compile(r"\bout\s*\[")
+_OUT_MENTION = re.compile(r"\bout\b")
+_MACRO_LINE = re.compile(r"^#\s*(?:define|undef)\s+(\w+)")
 _FENCE_STMT = "STREAM_FENCE();"
-_OMP_PRAGMA = "#pragma omp parallel for schedule(static) num_threads(THREADS)"
+_PRELUDE_INCLUDES = frozenset(
+    ("#include <stdint.h>", "#include <math.h>", "#include <stddef.h>")
+)
 
 #: The only admitted definitions of the scatter's store and fence
 #: (``{ctype}`` is the kernel's element type).  The text is pinned here,
@@ -325,243 +331,244 @@ static inline void stream_word({ctype} *dst, {ctype} v) {{
 #endif
 """
 
+#: The two admitted ``LANE_HINT`` definitions.  Either is sound for a
+#: certified body: every access is at the lane's own slab cells (the slab
+#: map is injective), so the lane loop carries no dependence.
+_LANE_HINTS = {
+    True: (
+        "#if defined(_OPENMP)",
+        '#define LANE_HINT _Pragma("omp simd")',
+        "#else",
+        '#define LANE_HINT _Pragma("GCC ivdep")',
+        "#endif",
+    ),
+    False: ("#define LANE_HINT",),
+}
 
-def _eval_bound(expr: str, macros: Dict[str, int]) -> Optional[int]:
-    """Evaluate a tile-loop bound expression with the given macro values.
-
-    Only integer literals, the names in ``macros`` and ``+ - * / ( )`` are
-    admitted, with C's meaning (``/`` truncates toward zero); anything
-    else (a register, a function call) is not a static schedule and the
-    caller reports it.
-    """
-    s = expr.replace("(size_t)", "")
-    try:
-        tree = ast.parse(s, mode="eval")
-    except SyntaxError:
-        return None
-
-    def value(node) -> int:
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return node.value
-        if isinstance(node, ast.Name) and node.id in macros:
-            return macros[node.id]
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -value(node.operand)
-        if isinstance(node, ast.BinOp):
-            lhs, rhs = value(node.left), value(node.right)
-            if isinstance(node.op, ast.Add):
-                return lhs + rhs
-            if isinstance(node.op, ast.Sub):
-                return lhs - rhs
-            if isinstance(node.op, ast.Mult):
-                return lhs * rhs
-            if isinstance(node.op, ast.Div) and rhs != 0:
-                quotient = abs(lhs) // abs(rhs)
-                return quotient if (lhs < 0) == (rhs < 0) else -quotient
-        raise ValueError(f"not a static expression: {ast.dump(node)}")
-
-    try:
-        return value(tree.body)
-    except ValueError:
-        return None
+#: The exact index forms of the tile driver's data movement: the slab map
+#: restricted to one tile (``a*TILE + jj`` column, ``jj*STRIDE + a`` row
+#: and padded-row — the same maps the chunk accesses are matched against)
+#: and the row-major output ``(P, OUT_WORDS)``, whose column for word
+#: ``a`` of a declared range is ``a`` less the range's shift (its start
+#: less the widths before it).
+_SLAB_INDEX = {"column": "a * TILE + jj", "row": "jj * STRIDE + a"}
+_OUT_INDEX = re.compile(r"^\(j0 \+ jj\) \* OUT_WORDS \+ a(?: - (\d+))?$")
+_SCATTER_WHAT = "the output scatter"
+_OUTSIDE = ("writes the output image outside the streamed scatter — every "
+            "output word must be written once, through stream_word, before "
+            "the tile's fence")
 
 
-@dataclass
-class _ParsedChunk:
-    index: int
-    lane_loop_ok: bool
-    lane_loop_line: str
-    statements: List[Tuple]  # see _parse_chunks
+class _Line(NamedTuple):
+    """One line of the kernel frame and the obligation it carries: the
+    rule a missing, changed or conditionally compiled copy breaks, and
+    what the line does.  A chunk body is one slot line (``text`` starts
+    with ``\\0``)."""
 
-
-@dataclass(frozen=True)
-class _Nest:
-    """One loop nest of the tile driver: ``kind`` is ``gather``,
-    ``tail_zero``, ``scatter`` or ``opaque``; ``loops`` maps each loop
-    variable to its ``(lo, hi)`` bound names; ``indices`` holds the
-    body's index expressions (target first)."""
-
-    kind: str
-    loops: Dict[str, Tuple[str, str]]
-    indices: Tuple[str, ...]
     text: str
-    position: int  # order among the driver's tile-loop statements
+    rule: str
+    what: str
 
 
-@dataclass
-class _ParsedDriver:
-    pragma_governs_loop: bool = False
-    init_expr: str = ""
-    bound_expr: str = ""
-    step_expr: str = ""
-    slab_inside: bool = False
-    slab_outside: bool = False
-    data_slab_inside: bool = False
-    data_slab_outside: bool = False
-    len_ok: bool = False
-    zero_ok: bool = False
-    ragged_zero_at: Optional[int] = None
-    calls: List[int] = field(default_factory=list)
-    call_positions: List[int] = field(default_factory=list)
-    fence_positions: List[int] = field(default_factory=list)
-    nests: List[_Nest] = field(default_factory=list)
-    stray: List[str] = field(default_factory=list)  # unrecognised statements
-    found: bool = False
+def _body_slot(ci: int) -> str:
+    return f"\0chunk_{ci}"
 
 
-def _parse_chunks(lines: Sequence[str]) -> Dict[int, _ParsedChunk]:
-    """Chunk functions → ordered statement lists.
+def _macro_values(config: ScheduleConfig, nregs: int) -> Dict[str, int]:
+    return {
+        "P": config.p, "WORDS": config.words, "OUT_WORDS": config.out_words,
+        "STRIDE": config.stride, "TILE": config.tile,
+        "SLAB": config.slab_words, "NREGS": nregs, "THREADS": config.threads,
+    }
 
-    Statements are tagged tuples:
+
+def _render_frame(
+    config: ScheduleConfig, ctype: str, nregs: int, n_chunks: int,
+    hinted: bool,
+) -> List[_Line]:
+    """The native kernel from its schedule header on, outside the chunk
+    bodies: the certifier's own copy of what ``emit_bulk_c`` must emit
+    for this request.  ``docs/SCHEDULE.md`` proves its tile driver once,
+    for every ``P``; this text is the one the lemma is about."""
+    c = config
+    at = _SLAB_INDEX[c.layout]
+    tails = {
+        "P": "L            /* lanes */",
+        "WORDS": "L    /* words per lane (slab lane width) */",
+        "OUT_WORDS": "L  /* output row width: the declared words */",
+        "STRIDE": "L  /* slab lane stride of row layouts */",
+        "TILE": "L",
+        "SLAB": "L  /* words of the tile-private slab */",
+    }
+    pragma = "the OpenMP work-sharing pragma governing the tile loop"
+    zero_fill = "the zero fill of slab words [k, WORDS)"
+
+    def rows(rule: str, what: str, *texts: str) -> List[_Line]:
+        return [_Line(text, rule, what) for text in texts]
+
+    frame = rows(
+        "OBL-S703", "the schedule header",
+        f"/* schedule: layout={c.layout} p={c.p} words={c.words} "
+        f"stride={c.stride} chunk={c.chunk} tile={c.tile} "
+        f"threads={c.threads} */",
+    )
+    frame += [
+        _Line(f"#define {name} {value}{tails.get(name, '')}", *_MACRO_RULES[name])
+        for name, value in _macro_values(c, nregs).items()
+    ]
+    frame += rows("OBL-S701", "the LANE_HINT definition", *_LANE_HINTS[hinted], "")
+    for ci in range(n_chunks):
+        frame += rows(
+            "OBL-S701", f"chunk_{ci}'s signature",
+            f"static void chunk_{ci}({ctype} *restrict mem, "
+            f"{ctype} *restrict regs) {{",
+            "    LANE_HINT",
+        )
+        frame += rows("OBL-S702", f"chunk_{ci}'s lane loop over [0, TILE)",
+                      "    for (long jj = 0; jj < TILE; ++jj) {")
+        frame += rows("OBL-S701", f"chunk_{ci}'s body", _body_slot(ci))
+        frame += rows("OBL-S701", f"chunk_{ci}'s end", "    }", "}", "")
+    frame += [_Line(text, rule, what) for rule, what, text in (
+        ("OBL-S701", "the kernel signature",
+         f"void {_KERNEL}(const {ctype} *restrict in, long k, "
+         f"{ctype} *restrict out) {{"),
+        ("OBL-S702", pragma, "#if defined(_OPENMP) && (THREADS > 1)"),
+        ("OBL-S702", pragma,
+         "#pragma omp parallel for schedule(static) num_threads(THREADS)"),
+        ("OBL-S702", pragma, "#endif"),
+        ("OBL-S702", "the tile loop partitioning [0, P)",
+         "    for (long j0 = 0; j0 < P; j0 += TILE) {"),
+        ("OBL-S702", "the tile-private data slab", f"        {ctype} slab[SLAB];"),
+        ("OBL-S702", "the tile-private register slab",
+         f"        {ctype} regs[NREGS * TILE];"),
+        ("OBL-S701", "the tail length that stops the last tile at P",
+         "        long len = (P - j0 < TILE) ? P - j0 : TILE;"),
+        ("OBL-S701", "the register slab zeroing",
+         "        for (long i = 0; i < NREGS * TILE; ++i) regs[i] = 0;"),
+        ("OBL-S701", "the ragged tile's zero fill before the gather",
+         "        if (len < TILE) for (long i = 0; i < SLAB; ++i) slab[i] = 0;"),
+        ("OBL-S701", "the input gather's words [0, k)",
+         "        for (long a = 0; a < k; ++a)"),
+        ("OBL-S702", "the input gather's lanes [0, len)",
+         "            for (long jj = 0; jj < len; ++jj)"),
+        ("OBL-S703", "the input gather's address map",
+         f"                slab[{at}] = in[(j0 + jj) * k + a];"),
+        ("OBL-S701", zero_fill, "        for (long a = k; a < WORDS; ++a)"),
+        ("OBL-S701", zero_fill, "            for (long jj = 0; jj < TILE; ++jj)"),
+        ("OBL-S701", zero_fill, f"                slab[{at}] = 0;"),
+    )]
+    frame += [
+        _Line(f"        chunk_{ci}(slab, regs);", "OBL-S701",
+              "the chunk calls, in program order")
+        for ci in range(n_chunks)
+    ]
+    column = 0  # output column of each range's first word
+    for lo, hi in c.outputs:
+        index = f"a - {lo - column}" if lo != column else "a"
+        frame += rows(
+            "OBL-S701", _SCATTER_WHAT,
+            "        for (long jj = 0; jj < len; ++jj)",
+            f"            for (long a = {lo}; a < {hi}; ++a)",
+            f"                stream_word(&out[(j0 + jj) * OUT_WORDS + "
+            f"{index}], slab[{at}]);",
+        )
+        column += hi - lo
+    frame += rows("OBL-S702", "the STREAM_FENCE() after the streamed scatter",
+                  f"        {_FENCE_STMT}")
+    frame += rows("OBL-S701", "the kernel's end", "    }", "}")
+    return frame
+
+
+def _stray(text: str) -> Tuple[str, str]:
+    """The rule and reason for a line the frame does not have."""
+    m = _MACRO_LINE.match(text)
+    if m and m.group(1) in _MACRO_RULES:
+        rule, what = _MACRO_RULES[m.group(1)]
+        return rule, f"it redefines {m.group(1)}, the {what}"
+    if "stream_word" in text or "STREAM_FENCE" in text:
+        return "OBL-S703", ("it redefines or bypasses the streamed store — a "
+                            "redefined helper may write elsewhere than "
+                            "out[(j0 + jj) * OUT_WORDS + a - shift]")
+    if _OUT_MENTION.search(text):
+        return "OBL-S702", f"it {_OUTSIDE}"
+    return "OBL-S701", "the schedule cannot be proven around it"
+
+
+def _conditions(texts: Sequence[str]) -> List[Tuple[str, ...]]:
+    """The ``#if`` nest each line is compiled under."""
+    stack: List[str] = []
+    out = []
+    for text in texts:
+        out.append(tuple(stack))
+        s = text.strip()
+        if not s.startswith("#"):
+            continue
+        directive = s[1:].lstrip()
+        if directive.startswith("if"):
+            stack.append(s)
+        elif directive.startswith(("elif", "else")) and stack:
+            stack[-1] += f" … {s}"
+        elif directive.startswith("endif") and stack:
+            stack.pop()
+    return out
+
+
+def _parse_body(body: Sequence[Tuple[str, int]]) -> List[Tuple]:
+    """One chunk body → its statements, as tagged tuples:
     ``("spill_load", reg, slab, lineno)``, ``("spill_save", slab, reg,
     lineno)``, ``("read", var, addr_expr, lineno)``, ``("write",
-    addr_expr, reg, lineno)``, ``("assign", reg, rhs, lineno)``,
-    ``("opaque", text, lineno)`` for anything unrecognised.
-    """
-    chunks: Dict[int, _ParsedChunk] = {}
-    i = 0
-    while i < len(lines):
-        m = _CHUNK_START.match(lines[i])
-        if not m:
-            i += 1
+    addr_expr, reg, lineno)``, ``("assign", reg, rhs, lineno)``, and
+    ``("opaque", text, lineno)`` for anything else — a blank line, a
+    comment, a directive or a right-hand side with a side effect
+    included, so nothing in a body is skipped."""
+    stmts: List[Tuple] = []
+    for text, lineno in body:
+        s = text.strip()
+        if _COMMENT.search(s):
+            stmts.append(("opaque", s, lineno))
             continue
-        index = int(m.group(1))
-        depth = lines[i].count("{") - lines[i].count("}")
-        i += 1
-        lane_ok = False
-        lane_line = ""
-        stmts: List[Tuple] = []
-        in_lane_loop = False
-        while i < len(lines) and depth > 0:
-            raw = lines[i]
-            stripped = raw.strip()
-            depth += raw.count("{") - raw.count("}")
-            i += 1
-            if not stripped or stripped == "LANE_HINT":
-                continue
-            if not in_lane_loop:
-                if stripped.startswith("for (long jj"):
-                    lane_line = stripped
-                    lane_ok = stripped == _LANE_LOOP
-                    in_lane_loop = True
-                continue
-            if stripped == "}":
-                in_lane_loop = depth > 1
-                continue
-            sm = _SPILL_LOAD.match(stripped)
-            if sm:
-                stmts.append(("spill_load", int(sm.group(1)), int(sm.group(2)), i))
-                continue
-            sm = _SPILL_SAVE.match(stripped)
-            if sm:
-                stmts.append(("spill_save", int(sm.group(1)), int(sm.group(2)), i))
-                continue
-            sm = _MEM_READ.match(stripped)
-            if sm:
-                stmts.append(("read", sm.group(1), sm.group(2), i))
-                continue
-            sm = _MEM_WRITE.match(stripped)
-            if sm:
-                stmts.append(("write", sm.group(1), int(sm.group(2)), i))
-                continue
-            sm = _ASSIGN.match(stripped)
-            if sm:
-                stmts.append(("assign", int(sm.group(1)), sm.group(2), i))
-                continue
-            stmts.append(("opaque", stripped, i))
-        chunks[index] = _ParsedChunk(
-            index=index,
-            lane_loop_ok=lane_ok,
-            lane_loop_line=lane_line,
-            statements=stmts,
-        )
-    return chunks
-
-
-def _classify_nest(
-    loops: Dict[str, Tuple[str, str]], body: str, text: str, position: int
-) -> _Nest:
-    for kind, form in (
-        ("gather", _GATHER), ("scatter", _SCATTER), ("tail_zero", _TAIL_ZERO)
-    ):
-        m = form.match(body)
-        if m:
-            return _Nest(kind, loops, m.groups(), text, position)
-    kind = "plain_store" if _OUT_WRITE.search(body) else "opaque"
-    return _Nest(kind, loops, (), text, position)
-
-
-def _parse_driver(lines: Sequence[str]) -> _ParsedDriver:
-    driver = _ParsedDriver()
-    start = next(
-        (i for i, line in enumerate(lines) if _KERNEL_START.match(line)), None
-    )
-    if start is None:
-        return driver
-    depth = 1
-    i = start + 1
-    pragma_pending = False
-    in_loop = False
-    position = 0  # statement counter inside the tile loop
-    loops: Dict[str, Tuple[str, str]] = {}
-    loop_text: List[str] = []
-    while i < len(lines) and depth > 0:
-        raw = lines[i]
-        stripped = raw.strip()
-        depth += raw.count("{") - raw.count("}")
-        i += 1
-        if not stripped:
-            continue
-        if stripped == _OMP_PRAGMA:
-            pragma_pending = True
-            continue
-        if stripped.startswith("#if") or stripped.startswith("#endif"):
-            continue
-        m = _FOR_J0.match(stripped)
-        if m and not driver.found:
-            driver.init_expr, driver.bound_expr, driver.step_expr = m.groups()
-            driver.pragma_governs_loop = pragma_pending
-            in_loop = driver.found = True
-            continue
-        nm = _NEST_LOOP.match(stripped)
-        if nm:
-            loops[nm.group(1)] = (nm.group(2), nm.group(3))
-            loop_text.append(stripped)
-            continue
-        if loops:
-            text = " ".join(loop_text + [stripped])
-            driver.nests.append(_classify_nest(loops, stripped, text, position))
-            position += 1
-            loops, loop_text = {}, []
-            continue
-        if stripped == "}":
-            in_loop = in_loop and depth > 1  # depth 1: the tile loop closed
-            continue
-        for decl, inside, outside in (
-            (_SLAB_DECL, "slab_inside", "slab_outside"),
-            (_DATA_SLAB_DECL, "data_slab_inside", "data_slab_outside"),
+        for form, tag, cast in (
+            (_SPILL_LOAD, "spill_load", (int, int)),
+            (_SPILL_SAVE, "spill_save", (int, int)),
+            (_MEM_READ, "read", (str, str)),
+            (_MEM_WRITE, "write", (str, int)),
+            (_ASSIGN, "assign", (int, str)),
         ):
-            if decl.match(stripped):
-                setattr(driver, inside if in_loop else outside, True)
+            m = form.match(s)
+            if m and not (tag == "assign" and _SIDE_EFFECT.search(m.group(2))):
+                x, y = (f(g) for f, g in zip(cast, m.groups()))
+                stmts.append((tag, x, y, lineno))
                 break
         else:
-            if stripped == _LEN_STMT:
-                driver.len_ok = True
-            elif stripped == _ZERO_STMT:
-                driver.zero_ok = True
-            elif _RAGGED_ZERO.match(stripped):
-                driver.ragged_zero_at = position
-            elif stripped == _FENCE_STMT and in_loop:
-                driver.fence_positions.append(position)
-            else:
-                cm = _CHUNK_CALL.match(stripped)
-                if cm:
-                    driver.calls.append(int(cm.group(1)))
-                    driver.call_positions.append(position)
-                else:
-                    driver.stray.append(stripped)
-            position += 1
-    return driver
+            stmts.append(("opaque", s, lineno))
+    return stmts
+
+
+def _locate(lines: Sequence[str], start: int):
+    """Source line ranges of the frame's variable parts: each chunk's body
+    (after its lane loop, up to the loop's closing line) and the scatter
+    nests (after the last chunk call, up to the fence or the tile loop's
+    end).  Returns ``({slot_text: (begin, end)}, scatter_range)``."""
+    slots: Dict[str, Tuple[int, int]] = {}
+    after = start
+    for j in range(start, len(lines)):
+        m = _CHUNK_START.match(lines[j])
+        if not m or _body_slot(int(m.group(1))) in slots:
+            continue
+        begin = j + 3
+        end = next((e for e in range(begin, len(lines)) if lines[e] == "    }"),
+                   len(lines))
+        slots[_body_slot(int(m.group(1)))] = (begin, end)
+        after = max(after, end)
+    calls = [j for j in range(after, len(lines))
+             if _CHUNK_CALL.match(lines[j].strip())]
+    scatter = None
+    if calls:
+        begin = calls[-1] + 1
+        end = next((e for e in range(begin, len(lines)) if lines[e] in (
+            f"        {_FENCE_STMT}", "    }")), len(lines))
+        scatter = (begin, end)
+    return slots, scatter
 
 
 def _parse_local_addr(expr: str, layout: str) -> Optional[int]:
@@ -570,167 +577,26 @@ def _parse_local_addr(expr: str, layout: str) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-# -- gather / scatter obligations ---------------------------------------------
-
-
-#: The exact index forms of the tile driver's data movement: the slab map
-#: restricted to one tile (``a*TILE + jj`` column, ``jj*STRIDE + a`` row
-#: and padded-row — the same maps the chunk accesses are matched against),
-#: the row-major input ``(P, k)`` and the row-major output ``(P,
-#: OUT_WORDS)``, whose column for word ``a`` of a declared range is ``a``
-#: less the range's shift (its start less the widths before it).
-_SLAB_INDEX = {"column": "a * TILE + jj", "row": "jj * STRIDE + a"}
-_IN_INDEX = "(j0 + jj) * k + a"
-_OUT_INDEX = re.compile(r"^\(j0 \+ jj\) \* OUT_WORDS \+ a(?: - (\d+))?$")
-
-
-def _check_nest_map(
-    nest: _Nest, forms: Sequence[str], index: int = 0
-) -> Optional[str]:
-    """Match the nest's index expressions (target first), from ``index``
-    on, against their exact forms, whitespace-normalised; returns the
-    first mismatch."""
-    for expr, want in zip(nest.indices[index:], forms):
-        if " ".join(expr.split()) != want:
-            return f"index {expr!r} is not the map's {want!r}"
-    return None
-
-
-def _certify_gather_scatter(
-    driver: _ParsedDriver,
-    config: ScheduleConfig,
-    macros: Dict[str, int],
-    label: str,
-    name: str,
-) -> List[Diagnostic]:
-    """The tile driver's data movement obligations.
-
-    * **gather** (``OBL-S703`` map, ``OBL-S701``/``OBL-S702`` bounds):
-      exactly one nest over ``a ∈ [0, k)`` × ``jj ∈ [0, len)`` copying
-      input word ``a`` of lane ``j0 + jj`` (``in[(j0+jj)·k + a]``) into
-      the slab at the layout's map — before the first chunk runs;
-    * **initial state** (``OBL-S701``): words ``[k, WORDS)`` of every slab
-      lane are zeroed (one nest over ``a ∈ [k, WORDS)`` × ``jj ∈ [0,
-      TILE)``), and a ragged tile zero-fills the whole slab before the
-      gather, so the chunks start from the zero-extended input image the
-      sequential reference starts from;
-    * **scatter** (:func:`_certify_scatter`): the declared output words,
-      streamed after the last chunk;
-    * **fence and bypass** (``OBL-S702``): a ``STREAM_FENCE()`` follows
-      the scatter inside the tile loop, and nothing else in the driver
-      writes ``out``.  Any other unrecognised driver statement is
-      ``OBL-S701``.
-
-    Index expressions must be the maps' exact forms (:data:`_SLAB_INDEX`,
-    :data:`_IN_INDEX`, :data:`_OUT_INDEX`), so a pass holds for every
-    ``(j0, jj, a, k)``.
-    """
-    out: List[Diagnostic] = []
-
-    def fail(rule: str, message: str) -> None:
-        out.append(diag(rule, f"{label}: {message}", program=name))
-
-    slab_at = _SLAB_INDEX["column" if config.layout == "column" else "row"]
-    for nest in driver.nests:
-        if nest.kind == "opaque":
-            fail("OBL-S701", f"unrecognised tile-driver loop nest {nest.text!r}")
-    bypass = [n.text for n in driver.nests if n.kind == "plain_store"]
-    for text in driver.stray:
-        if _OUT_WRITE.search(text):
-            bypass.append(text)
-        else:
-            fail("OBL-S701", f"unrecognised tile-driver statement {text!r}")
-    for text in bypass:
-        fail("OBL-S702", f"{text!r} writes the output image outside the "
-                         f"streamed scatter — every output word must be "
-                         f"written once, through stream_word, before the "
-                         f"tile's fence")
-    first_call = min(driver.call_positions, default=None)
-    specs = (
-        # kind, what, lane range, word range, index forms
-        ("gather", "the input gather", ("0", "len"), ("0", "k"),
-         (slab_at, _IN_INDEX)),
-        ("tail_zero", "the zero fill of slab words [k, WORDS)",
-         ("0", "TILE"), ("k", "WORDS"), (slab_at,)),
-    )
-    for kind, what, lanes, word_range, maps in specs:
-        nests = [n for n in driver.nests if n.kind == kind]
-        if len(nests) != 1:
-            fail("OBL-S701", f"expected exactly one nest for {what}, found "
-                             f"{len(nests)}")
-            continue
-        nest = nests[0]
-        if not _check_nest_loops(nest, what, lanes, fail):
-            continue
-        if nest.loops["a"] != word_range:
-            fail("OBL-S701", f"{what} covers words a ∈ "
-                             f"{list(nest.loops['a'])} but must cover "
-                             f"{list(word_range)}")
-        problem = _check_nest_map(nest, maps)
-        if problem is not None:
-            fail("OBL-S703", f"{what} diverges from the address map: {problem}")
-        if first_call is not None and nest.position > first_call:
-            fail("OBL-S701", f"{what} must run before every chunk")
-    _certify_scatter(driver, config, macros, slab_at, fail)
-    scatter = [n.position for n in driver.nests if n.kind == "scatter"]
-    if scatter and not any(f > max(scatter) for f in driver.fence_positions):
-        fail("OBL-S702", "no STREAM_FENCE() follows the output scatter inside "
-                         "the tile loop — streamed stores are weakly ordered, "
-                         "so another thread or the caller may read the image "
-                         "before they land")
-    gather = [n.position for n in driver.nests if n.kind == "gather"]
-    if driver.ragged_zero_at is None or driver.ragged_zero_at > min(
-        gather, default=driver.ragged_zero_at
-    ):
-        fail("OBL-S701", "a ragged tile's missing lanes are not zero-filled "
-                         "before the gather — idle lanes compute on stale "
-                         "stack contents")
-    if driver.data_slab_outside or not driver.data_slab_inside:
-        fail("OBL-S702", "the data slab must be declared inside the tile "
-                         "loop (tile-private); a slab shared across OpenMP "
-                         "threads is a write race")
-    return out
-
-
-def _check_nest_loops(nest: _Nest, what: str, lanes, fail) -> bool:
-    """The nest loops over the ``(a, jj)`` pair with ``jj`` over ``lanes``;
-    False when its loops are not even that pair."""
-    if set(nest.loops) != {"a", "jj"}:
-        fail("OBL-S701", f"{what} loops over {sorted(nest.loops)}, not "
-                         f"the (a, jj) word/lane pair: {nest.text!r}")
-        return False
-    if nest.loops["jj"] != lanes:
-        rule = "OBL-S702" if lanes[1] == "len" else "OBL-S701"
-        fail(rule, f"{what} covers lanes jj ∈ {list(nest.loops['jj'])} but "
-                   f"must cover {list(lanes)} (a ragged tile owns only "
-                   f"its first len lanes)")
-    return True
-
-
 def _words(addresses: np.ndarray) -> str:
     shown = ", ".join(str(int(a)) for a in addresses[:4])
     return f"{shown}, …" if addresses.size > 4 else shown
 
 
 def _certify_scatter(
-    driver: _ParsedDriver,
-    config: ScheduleConfig,
-    macros: Dict[str, int],
-    slab_at: str,
-    fail,
+    region: Sequence[Tuple[str, int]], config: ScheduleConfig, fail
 ) -> None:
     """The output scatter: one nest per declared range, in range order,
-    each over ``a ∈ [lo, hi)`` × ``jj ∈ [0, len)`` streaming the slab's
+    each over ``jj ∈ [0, len)`` × ``a ∈ [lo, hi)`` streaming the slab's
     word ``a`` of lane ``jj`` to column ``a - shift`` of output row
-    ``j0 + jj`` (``stream_word(&out[...], slab[...])``), after the last
-    chunk.  Accounted word by word against the declared ranges: a
-    declared word no nest writes is ``OBL-S701``; a word written that is
-    not declared, or written twice, is ``OBL-S702``; a word streamed to
-    another column, or a slab word outside ``[0, WORDS)``, is
-    ``OBL-S703``; nests out of range order are ``OBL-S701``.
+    ``j0 + jj``.  The frame places the nests after the last chunk call and
+    before the fence; here they are accounted word by word against the
+    declared ranges: a declared word no nest writes is ``OBL-S701``; a
+    word written that is not declared, or written twice, is ``OBL-S702``;
+    a word streamed to another column, or a slab word outside ``[0,
+    WORDS)``, is ``OBL-S703``; nests out of range order are ``OBL-S701``.
     """
-    what = "the output scatter"
-    last_call = max(driver.call_positions, default=None)
+    what = _SCATTER_WHAT
+    slab_at = _SLAB_INDEX[config.layout]
     column = np.full(config.words, -1, dtype=np.int64)
     offset = 0
     for lo, hi in config.outputs:
@@ -738,42 +604,71 @@ def _certify_scatter(
         offset += hi - lo
     writes = np.zeros(config.words, dtype=np.int64)
     starts: List[int] = []
-    nests = [n for n in driver.nests if n.kind == "scatter"]
-    if not nests:
-        fail("OBL-S701", f"no nest for {what} — the kernel returns nothing")
-    for nest in nests:
-        if not _check_nest_loops(nest, what, ("0", "len"), fail):
+    nests = 0
+    i = 0
+    while i < len(region):
+        text, lineno = region[i]
+        s = text.strip()
+        if not (s.startswith("for (") and i + 2 < len(region)
+                and region[i + 1][0].strip().startswith("for (")):
+            rule, reason = _stray(s)
+            fail(rule, f"line {lineno}: {s!r} is not a line of the kernel "
+                       f"frame — {reason}")
+            i += 1
             continue
-        lo, hi = (_eval_bound(b, macros) for b in nest.loops["a"])
-        if lo is None or hi is None or lo >= hi:
-            fail("OBL-S701", f"{what} covers words a ∈ "
-                             f"{list(nest.loops['a'])}, not a static "
-                             f"non-empty range")
+        loops = (s, region[i + 1][0].strip())
+        body = region[i + 2][0].strip()
+        nest = " ".join(loops + (body,))
+        i += 3
+        target = _SCATTER.match(body)
+        if target is None:
+            rule, reason = _stray(body)
+            fail(rule, f"line {lineno}: unrecognised tile-driver loop nest "
+                       f"{nest!r} — {reason}")
             continue
-        if last_call is not None and nest.position < last_call:
-            fail("OBL-S701", f"{what} must run after every chunk")
-        problem = _check_nest_map(nest, (slab_at,), index=1)
-        target = _OUT_INDEX.match(" ".join(nest.indices[0].split()))
-        if problem is None and target is None:
-            problem = (f"index {nest.indices[0]!r} is not the output map "
-                       f"'(j0 + jj) * OUT_WORDS + a - shift'")
-        if problem is not None:
-            fail("OBL-S703", f"{what} diverges from the address map: {problem}")
+        nests += 1
+        lanes, words = _NEST_LANES.match(loops[0]), _NEST_WORDS.match(loops[1])
+        if lanes is None or words is None:
+            fail("OBL-S701", f"{what} {nest!r} does not loop over lanes jj, "
+                             f"then words a")
+            continue
+        if lanes.group(1) != "len":
+            fail("OBL-S702", f"{what} covers lanes jj ∈ [0, {lanes.group(1)}) "
+                             f"but must cover [0, len) (a ragged tile owns "
+                             f"only its first len lanes)")
+        try:
+            lo, hi = int(words.group(1)), int(words.group(2))
+        except ValueError:
+            lo = hi = 0
+        if lo >= hi:
+            fail("OBL-S701", f"{what} covers words a ∈ {list(words.groups())}, "
+                             f"not a static non-empty range")
+            continue
+        out_index, slab_index = (" ".join(g.split()) for g in target.groups())
+        out_map = _OUT_INDEX.match(out_index)
+        if slab_index != slab_at:
+            fail("OBL-S703", f"{what} diverges from the address map: index "
+                             f"{slab_index!r} is not the map's {slab_at!r}")
+            continue
+        if out_map is None:
+            fail("OBL-S703", f"{what} diverges from the address map: index "
+                             f"{out_index!r} is not the output map "
+                             f"'(j0 + jj) * OUT_WORDS + a - shift'")
             continue
         if lo < 0 or hi > config.words:
             fail("OBL-S703", f"{what} streams slab words [{lo}, {hi}), "
                              f"outside a lane's [0, {config.words})")
             continue
-        shift = int(target.group(1) or 0)
-        words = np.arange(lo, hi)
+        shift = int(out_map.group(1) or 0)
+        span = np.arange(lo, hi)
         cols = column[lo:hi]
-        undeclared = words[cols < 0]
+        undeclared = span[cols < 0]
         if undeclared.size:
             fail("OBL-S702", f"{what} writes undeclared word(s) "
                              f"{_words(undeclared)} — only the program's "
                              f"declared outputs {list(config.outputs)} may "
                              f"reach the image")
-        moved = words[(cols >= 0) & (cols != words - shift)]
+        moved = span[(cols >= 0) & (cols != span - shift)]
         if moved.size:
             a = int(moved[0])
             fail("OBL-S703", f"{what} streams word {a} to column "
@@ -781,6 +676,8 @@ def _certify_scatter(
                              f"{int(column[a])}")
         writes[lo:hi] += 1
         starts.append(lo)
+    if not nests:
+        fail("OBL-S701", f"no nest for {what} — the kernel returns nothing")
     repeated = np.flatnonzero(writes > 1)
     if repeated.size:
         fail("OBL-S702", f"{what} streams word(s) {_words(repeated)} more "
@@ -796,32 +693,166 @@ def _certify_scatter(
                          f"declared range order {list(config.outputs)}")
 
 
-def _certify_stream_helpers(
-    program: Program, source: str, label: str
-) -> List[Diagnostic]:
-    """The scatter's store and fence are the pinned definitions
-    (``OBL-S703``): :data:`_STREAM_HELPERS` appears exactly once, and
-    outside it ``stream_word``/``STREAM_FENCE`` appear only in the
-    driver's scatter and fence statements — no second definition, macro
-    or ``#undef`` can redirect a streamed word."""
-    ctype = "int64_t" if np.dtype(program.dtype) == np.int64 else "double"
+def _certify_preamble(head: Sequence[str], ctype: str, fail) -> None:
+    """Before the schedule header: the scatter's store and fence are the
+    pinned definitions (``OBL-S703``), :data:`_STREAM_HELPERS` appears
+    exactly once, and the only other preprocessor lines are the prelude's
+    ``#include`` lines — no macro, ``#undef`` or condition the frame does not
+    see.  The prelude's arithmetic helpers are certified elsewhere
+    (``OBL-E30x``)."""
     pinned = _STREAM_HELPERS.format(ctype=ctype)
-    if source.count(pinned) != 1:
-        problems = ["the stream_word/STREAM_FENCE definitions are not the "
-                    "pinned text"]
-    else:
-        problems = [
-            f"{text!r} redefines or bypasses the streamed store"
-            for text in map(str.strip, source.replace(pinned, "").splitlines())
-            if ("stream_word" in text and not _SCATTER.match(text))
-            or ("STREAM_FENCE" in text and text != _FENCE_STMT)
-        ]
-    return [
-        diag("OBL-S703", f"{label}: {problem} — a redefined helper may write "
-                         f"elsewhere than out[(j0 + jj) * OUT_WORDS + a - shift]",
-             program=program.name)
-        for problem in problems
-    ]
+    text = "".join(line + "\n" for line in head)
+    if text.count(pinned) != 1:
+        fail("OBL-S703", "the stream_word/STREAM_FENCE definitions are not "
+                         "the pinned text — a redefined helper may write "
+                         "elsewhere than out[(j0 + jj) * OUT_WORDS + a - shift]")
+        return
+    first = text[: text.index(pinned)].count("\n")
+    pinned_lines = range(first, first + pinned.count("\n"))
+    for j, line in enumerate(head):
+        s = line.strip()
+        if j in pinned_lines or not (
+            (s.startswith("#") and s not in _PRELUDE_INCLUDES)
+            or "stream_word" in s or "STREAM_FENCE" in s or s.endswith("\\")
+        ):
+            continue
+        rule, reason = _stray(s)
+        fail(rule, f"line {j + 1}: {s!r} may not precede the schedule "
+                   f"header — {reason}")
+
+
+def _frame_change(
+    line: _Line, text: str, lineno: int, config: ScheduleConfig,
+    values: Dict[str, int],
+) -> List[Tuple[str, str]]:
+    """Why source ``text`` is not frame ``line``: the header's and the
+    ``#define`` lines' values are compared key by key, any other line is
+    reported with its obligation."""
+    if line.what == "the schedule header":
+        claim = _HEADER_RE.match(text)
+        if claim is not None:
+            found = []
+            for key, got in claim.groupdict().items():
+                want = getattr(config, key)
+                if got == str(want):
+                    continue
+                if key in ("layout", "p", "words", "stride"):
+                    found.append(("OBL-S703", f"emitter claims {key}={got} but "
+                                              f"the engine allocates for "
+                                              f"{key}={want}"))
+                else:
+                    found.append(("OBL-S701", f"emitter claims {key}={got} but "
+                                              f"the request was {key}={want}"))
+            if found:
+                return found
+    define = _DEFINE_RE.match(text)
+    if define and define.group(1) in values and line.text.startswith(
+        f"#define {define.group(1)} "
+    ):
+        name, got = define.group(1), int(define.group(2))
+        if got != values[name]:
+            return [(line.rule, f"compiled {name}={got} but the {line.what} "
+                                f"must be {values[name]} — the kernel indexes "
+                                f"a different geometry than the engine "
+                                f"allocates")]
+    return [(line.rule, f"line {lineno}: {line.what} — {text.strip()!r} is "
+                        f"not the frame's {line.text.strip()!r}")]
+
+
+def _certify_frame(
+    lines: Sequence[str], start: int, frame: List[_Line],
+    config: ScheduleConfig, values: Dict[str, int], fail,
+) -> Dict[int, List[Tuple[str, int]]]:
+    """Hold the source, from the schedule header on, to the frame: every
+    line is a frame line, byte for byte and under the frame's own
+    ``#if`` nest, or lies in a chunk body or the scatter nests.  Returns
+    each chunk's body lines (``(text, lineno)``) for the replay."""
+    slots, scatter = _locate(lines, start)
+    seen: List[Tuple[str, int]] = []  # collapsed source: (text, 0-based index)
+    j = start
+    begins = {begin: (slot, end) for slot, (begin, end) in slots.items()}
+    if scatter is not None:
+        begins[scatter[0]] = ("\0scatter", scatter[1])
+    while j < len(lines):
+        if j in begins:
+            slot, end = begins.pop(j)
+            seen.append((slot, j))
+            j = end
+            continue
+        seen.append((lines[j], j))
+        j += 1
+    scatter_lines = [line for line in frame if line.what == _SCATTER_WHAT]
+    expected = [line for line in frame if line.what != _SCATTER_WHAT]
+    at = expected.index(next(
+        line for line in expected if line.text.endswith(_FENCE_STMT)))
+    expected.insert(at, _Line("\0scatter", "OBL-S701", _SCATTER_WHAT))
+
+    src_conds = _conditions(lines[start:])
+    frame_conds = _conditions([line.text for line in expected])
+
+    def missing(line: _Line, lineno: int) -> None:
+        if line.text == "\0scatter":
+            return  # the accounting below reports the absent nests
+        fail(line.rule, f"line {lineno}: {line.what} — the frame's "
+                        f"{line.text.strip()!r} is missing")
+
+    def stray(text: str, index: int) -> None:
+        if text.startswith("\0"):
+            begin, end = slots.get(text, scatter)
+            for k in range(begin, end):
+                stray(lines[k], k)
+            return
+        rule, reason = _stray(text.strip())
+        fail(rule, f"line {index + 1}: {text.strip()!r} is not a line of the "
+                   f"kernel frame — {reason}")
+
+    matcher = difflib.SequenceMatcher(
+        None, [t for t, _ in seen], [line.text for line in expected],
+        autojunk=False,
+    )
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            for (text, index), k in zip(seen[i1:i2], range(j1, j2)):
+                cond = src_conds[index - start]
+                if cond != frame_conds[k] and not text.startswith("\0"):
+                    line = expected[k]
+                    fail(line.rule, f"line {index + 1}: {line.what} — "
+                                    f"{text.strip()!r} is compiled only "
+                                    f"under {' / '.join(cond)!r}")
+            continue
+        paired = min(i2 - i1, j2 - j1)
+        for (text, index), line in zip(
+            seen[i1:i1 + paired], expected[j1:j1 + paired]
+        ):
+            if text.startswith("\0") or line.text.startswith("\0"):
+                stray(text, index)
+                missing(line, index + 1)
+                continue
+            for rule, message in _frame_change(
+                line, text, index + 1, config, values
+            ):
+                fail(rule, message)
+        for text, index in seen[i1 + paired:i2]:
+            stray(text, index)
+        where = seen[i2][1] + 1 if i2 < len(seen) else len(lines)
+        for line in expected[j1 + paired:j2]:
+            missing(line, where)
+
+    region = [] if scatter is None else [
+        (lines[k], k + 1) for k in range(*scatter)]
+    problems: List[Tuple[str, str]] = []
+    _certify_scatter(region, config, lambda *problem: problems.append(problem))
+    for problem in problems:
+        fail(*problem)
+    if not problems and [t for t, _ in region] != [
+        line.text for line in scatter_lines
+    ]:
+        fail("OBL-S701", f"{_SCATTER_WHAT} is not the frame's one nest per "
+                         f"declared range {list(config.outputs)}")
+    return {
+        int(slot[len("\0chunk_"):]): [(lines[k], k + 1) for k in range(b, e)]
+        for slot, (b, e) in slots.items()
+    }
 
 
 # -- the symbolic lane replay -------------------------------------------------
@@ -835,8 +866,7 @@ class _WalkFailure(Exception):
 
 def _replay_lane(
     program: Program,
-    chunks: Dict[int, _ParsedChunk],
-    call_order: Sequence[int],
+    chunks: Dict[int, List[Tuple]],
     config: ScheduleConfig,
     label: str,
 ) -> Tuple[int, int, int]:
@@ -864,10 +894,8 @@ def _replay_lane(
     cursor = 0
     elided = spill_loads = spill_saves = 0
 
-    for ci in call_order:
-        chunk = chunks[ci]
+    for ci, stmts in sorted(chunks.items()):
         env: Dict[str, int] = {}
-        stmts = chunk.statements
         si = 0
         while si < len(stmts):
             st = stmts[si]
@@ -1192,336 +1220,109 @@ def certify_bulk_schedule(
     """Certify one emitted bulk kernel's schedule against ``config``.
 
     Returns ``(diagnostics, certificates, proof)``; the proof is ``None``
-    when the source could not even be parsed into a schedule.  ``w``
-    enables the span cross-check against
-    :func:`repro.machine.analytic.tiled_stage_count`.
+    when the source has no schedule header or not the requested chunk
+    functions, so no frame can be laid over it.  ``w`` enables the span
+    cross-check against :func:`repro.machine.analytic.tiled_stage_count`.
     """
     name = program.name
+    c = config
     if label is None:
-        label = (
-            f"schedule[{config.layout},tile={config.tile},"
-            f"threads={config.threads}]"
-        )
+        label = f"schedule[{c.layout},tile={c.tile},threads={c.threads}]"
     out: List[Diagnostic] = []
     certs: List[str] = []
-    lines = source.splitlines()
 
-    # 1. The #define block — the schedule's constants as compiled.
-    macros: Dict[str, int] = {}
-    for line in lines:
-        m = _DEFINE_RE.match(line)
-        if m:
-            macros[m.group(1)] = int(m.group(2))
-    missing = [k for k in _MACROS if k not in macros]
-    if missing:
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: schedule constants {missing} absent from the source; "
-            f"nothing to certify",
-            program=name,
-        ))
+    def fail(rule: str, message: str) -> None:
+        out.append(diag(rule, f"{label}: {message}", program=name))
+
+    lines = source.splitlines()
+    start = next(
+        (j for j, line in enumerate(lines) if line.startswith(_HEADER_START)),
+        None,
+    )
+    if start is None:
+        fail("OBL-S701", "no schedule header (/* schedule: … */) — the kernel "
+                         "frame cannot be laid over the source; nothing to "
+                         "certify")
         return out, certs, None
 
-    # 2. The emitter's own schedule claim, when present: claim, constants
-    #    and request must agree three ways.
-    header = _HEADER_RE.search(source)
-    if header:
-        claim = {
-            "layout": header.group(1),
-            "p": int(header.group(2)),
-            "words": int(header.group(3)),
-            "stride": int(header.group(4)),
-            "chunk": int(header.group(5)),
-            "tile": int(header.group(6)),
-            "threads": int(header.group(7)),
-        }
-        for key in ("layout", "p", "words", "stride"):
-            if claim[key] != getattr(config, key):
-                out.append(diag(
-                    "OBL-S703",
-                    f"{label}: emitter claims {key}={claim[key]} but the "
-                    f"engine allocates for {key}={getattr(config, key)}",
-                    program=name,
-                ))
-        for key in ("chunk", "tile", "threads"):
-            if claim[key] != getattr(config, key):
-                out.append(diag(
-                    "OBL-S701",
-                    f"{label}: emitter claims {key}={claim[key]} but the "
-                    f"request was {key}={getattr(config, key)}",
-                    program=name,
-                ))
+    # 1. The chunk functions the request implies.
+    n_instr = len(program.instructions)
+    n_chunks = max(1, -(-n_instr // c.chunk))
+    defined = sorted(
+        int(m.group(1)) for m in map(_CHUNK_START.match, lines[start:]) if m
+    )
+    if defined != list(range(n_chunks)):
+        fail("OBL-S701", f"expected chunk functions 0..{n_chunks - 1} "
+                         f"({n_instr} instructions / chunk={c.chunk}) but the "
+                         f"source defines {defined}")
+        return out, certs, None
 
-    # 3. Constants vs. the requested configuration.  Geometry mismatches
-    #    (the address maps) are S703; shape mismatches are S701.
-    geometry_ok = True
-    for macro, want, rule, what in (
-        ("P", config.p, "OBL-S703", "lane count"),
-        ("WORDS", config.words, "OBL-S703", "slab lane width"),
-        ("OUT_WORDS", config.out_words, "OBL-S703",
-         "output row width (the declared words)"),
-        ("STRIDE", config.stride, "OBL-S703", "row stride"),
-        ("SLAB", config.slab_words, "OBL-S703", "slab size"),
-        ("TILE", config.tile, "OBL-S701", "tile size"),
-        ("NREGS", program.num_registers, "OBL-S701", "register count"),
-        ("THREADS", config.threads, "OBL-S701", "thread count"),
-    ):
-        if macros[macro] != want:
-            out.append(diag(
-                rule,
-                f"{label}: compiled {macro}={macros[macro]} but the "
-                f"{what} must be {want} — the kernel indexes a different "
-                f"geometry than the engine allocates",
-                program=name,
-            ))
-            if rule == "OBL-S703":
-                geometry_ok = False
+    # 2. The lemma's hypotheses on the request: a positive lane count and
+    #    tile, and a row stride that keeps slab lanes apart.
+    if c.p < 1 or c.tile < 1:
+        fail("OBL-S701", f"P={c.p} and TILE={c.tile} must both be positive")
+    if c.layout == "row" and c.stride < c.words:
+        fail("OBL-S703", f"row stride {c.stride} is smaller than the "
+                         f"program's {c.words} words — slab lanes overlap")
 
-    # 4. Slab-map injectivity: word a of tile lane jj lives at a·TILE + jj
-    #    (column) or jj·STRIDE + a (row); with jj < TILE, resp. a < WORDS
-    #    <= STRIDE, the decomposition is unique and stays inside the
-    #    SLAB-word slab, so distinct lanes touch disjoint slab cells.
-    injective = True
-    if config.layout == "row" and macros["STRIDE"] < macros["WORDS"]:
-        injective = False
-        out.append(diag(
-            "OBL-S703",
-            f"{label}: row stride {macros['STRIDE']} is smaller than "
-            f"the program's {macros['WORDS']} words — slab lanes overlap",
-            program=name,
-        ))
-    if geometry_ok and injective:
+    # 3. The frame: the preamble's pinned helpers, then every line from the
+    #    schedule header on.
+    ctype = "int64_t" if np.dtype(program.dtype) == np.int64 else "double"
+    values = _macro_values(c, program.num_registers)
+    hinted = _LANE_HINTS[True][1] in lines[start:]
+    frame = _render_frame(c, ctype, program.num_registers, n_chunks, hinted)
+    _certify_preamble(lines[:start], ctype, fail)
+    bodies = _certify_frame(lines, start, frame, c, values, fail)
+    frame_ok = not out
+    tiles = -(-c.p // c.tile)
+    if frame_ok:
         lane_map = (
-            f"a·TILE+jj over {macros['WORDS']}×{macros['TILE']}"
-            if config.layout == "column"
-            else f"jj·STRIDE+a with STRIDE={macros['STRIDE']} ≥ "
-                 f"WORDS={macros['WORDS']}"
+            f"a·TILE+jj over {c.words}×{c.tile}" if c.layout == "column"
+            else f"jj·STRIDE+a with STRIDE={c.stride} ≥ WORDS={c.words}"
+        )
+        certs.append(
+            f"{label}: kernel frame — from its schedule header on the source "
+            f"is the certifier's frame for {n_chunks} chunk(s) and declared "
+            f"outputs {list(c.outputs)}, line for line, around the chunk "
+            f"bodies; the driver lemma (docs/SCHEDULE.md) proves that frame "
+            f"for every P"
         )
         certs.append(
             f"{label}: slab map {lane_map} injective inside the "
-            f"{macros['SLAB']}-word tile slab — distinct lanes touch "
+            f"{c.slab_words}-word tile slab — distinct lanes touch "
             f"disjoint cells"
         )
-
-    # 5. Chunk functions.
-    chunks = _parse_chunks(lines)
-    n_instr = len(program.instructions)
-    expected_chunks = max(1, -(-n_instr // config.chunk))
-    if sorted(chunks) != list(range(expected_chunks)):
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: expected chunk functions 0..{expected_chunks - 1} "
-            f"({n_instr} instructions / chunk={config.chunk}) but the "
-            f"source defines {sorted(chunks)}",
-            program=name,
-        ))
-        return out, certs, None
-    for chunk in chunks.values():
-        if not chunk.lane_loop_ok:
-            out.append(diag(
-                "OBL-S702",
-                f"{label}: chunk_{chunk.index}'s lane loop "
-                f"{chunk.lane_loop_line!r} is not the tile's [0, len) "
-                f"range — lanes may be computed by more than one tile "
-                f"(write race) or dropped",
-                program=name,
-            ))
-
-    # 6. The driver: work-sharing pragma, private slabs, tail length,
-    #    zeroing, gather/scatter, call order.
-    driver = _parse_driver(lines)
-    if not driver.found:
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: no tile loop found in the kernel driver",
-            program=name,
-        ))
-        return out, certs, None
-    if config.threads > 1 and not driver.pragma_governs_loop:
-        out.append(diag(
-            "OBL-S702",
-            f"{label}: threads={config.threads} requested but the OpenMP "
-            f"work-sharing pragma does not immediately govern the tile "
-            f"loop — the thread partition is unknown and unprovable",
-            program=name,
-        ))
-    if driver.slab_outside or not driver.slab_inside:
-        out.append(diag(
-            "OBL-S702",
-            f"{label}: the register slab must be declared inside the tile "
-            f"loop (tile-private); a shared slab is a write race between "
-            f"OpenMP threads",
-            program=name,
-        ))
-    if not driver.len_ok:
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: unrecognised tail-length computation; cannot prove "
-            f"the last tile stops at lane P",
-            program=name,
-        ))
-    if not driver.zero_ok:
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: the per-tile register slab is not zeroed — the "
-            f"engines' zero-initialised register contract is broken",
-            program=name,
-        ))
-    moves = _certify_gather_scatter(driver, config, macros, label, name)
-    moves += _certify_stream_helpers(program, source, label)
-    moves_ok = not moves
-    out.extend(moves)
-    if moves_ok:
         certs.append(
             f"{label}: gather/scatter commute with the address map — each "
             f"tile gathers input word a of lane j0+jj into its private slab "
             f"at the layout's map, zero-fills words [k, WORDS) and absent "
-            f"lanes, and streams each of its own lanes' {config.out_words} "
+            f"lanes, and streams each of its own lanes' {c.out_words} "
             f"declared output word(s) once, to its column of output row "
             f"j0+jj, through the pinned stream_word, then fences"
         )
-
-    # 7. Partition analysis: simulate the parsed (init, bound, step) over
-    #    the integers and demand an exact disjoint cover of [0, p).
-    tiles: List[Tuple[int, int]] = []
-    partition_ok = geometry_ok and driver.len_ok
-    bound_text = f"{driver.init_expr} / {driver.bound_expr} / {driver.step_expr}"
-    thread_dependent = "THREADS" in bound_text
-    suffix = (
-        " (the tile-loop bounds reference THREADS — the computed lane set "
-        "varies with the thread count)" if thread_dependent else ""
-    )
-    init = _eval_bound(driver.init_expr, macros)
-    bound = _eval_bound(driver.bound_expr, macros)
-    step = _eval_bound(driver.step_expr, macros)
-    if init is None or bound is None or step is None:
-        partition_ok = False
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: tile loop bounds ({driver.init_expr!r}; "
-            f"{driver.bound_expr!r}; {driver.step_expr!r}) are not static "
-            f"schedule expressions",
-            program=name,
-        ))
-    elif step <= 0:
-        partition_ok = False
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: tile loop step {step} does not advance — the "
-            f"schedule does not terminate",
-            program=name,
-        ))
-    else:
-        plog, tdef = macros["P"], macros["TILE"]
-        j0, iters = init, 0
-        while j0 < bound and iters < 1_000_000:
-            iters += 1
-            ln = min(plog - j0, tdef)
-            if ln > 0:
-                tiles.append((j0, ln))
-            j0 += step
-        if iters >= 1_000_000:
-            partition_ok = False
-            out.append(diag(
-                "OBL-S701",
-                f"{label}: tile loop exceeds 10^6 iterations; refusing to "
-                f"certify",
-                program=name,
-            ))
-        if partition_ok:
-            expect = 0
-            for (start, ln) in sorted(tiles):
-                end = start + ln
-                if start < expect:
-                    partition_ok = False
-                    out.append(diag(
-                        "OBL-S702",
-                        f"{label}: lanes {start}..{min(expect, end) - 1} "
-                        f"are computed by two tiles — two OpenMP threads "
-                        f"may store to the same output rows"
-                        f"{suffix}",
-                        program=name,
-                    ))
-                    break
-                if start > expect:
-                    partition_ok = False
-                    out.append(diag(
-                        "OBL-S702",
-                        f"{label}: lanes {expect}..{start - 1} are never "
-                        f"computed — the tile decomposition has a gap"
-                        f"{suffix}",
-                        program=name,
-                    ))
-                    break
-                expect = end
-            if partition_ok and expect != config.p:
-                partition_ok = False
-                if expect < config.p:
-                    out.append(diag(
-                        "OBL-S702",
-                        f"{label}: lanes {expect}..{config.p - 1} are "
-                        f"never computed — the tile decomposition stops "
-                        f"early{suffix}",
-                        program=name,
-                    ))
-                else:
-                    out.append(diag(
-                        "OBL-S702",
-                        f"{label}: the schedule computes lanes up to "
-                        f"{expect - 1}, past the logical count {config.p}"
-                        f"{suffix}",
-                        program=name,
-                    ))
-    race_ok = (
-        partition_ok
-        and injective
-        and moves_ok
-        and driver.slab_inside
-        and not driver.slab_outside
-        and (config.threads == 1 or driver.pragma_governs_loop)
-        and all(c.lane_loop_ok for c in chunks.values())
-    )
-    if race_ok:
         certs.append(
-            f"{label}: race freedom — {len(tiles)} tile(s) partition lanes "
-            f"[0, {config.p}) disjointly, each tile scatters only its own "
+            f"{label}: race freedom — {tiles} tile(s) partition lanes "
+            f"[0, {c.p}) disjointly, each tile scatters only its own "
             f"output rows, both slabs are tile-private, and "
             f"schedule(static) ranges over whole tiles: distinct threads' "
             f"write sets are disjoint and no cross-tile read-after-write "
             f"exists"
         )
 
-    # 8. Call order, then the symbolic lane replay (trace preservation
-    #    and forwarding soundness).
+    # 4. The symbolic lane replay through the bodies, in the frame's call
+    #    order (trace preservation and forwarding soundness).
     walk_ok = False
     elided = sloads = ssaves = 0
-    if sorted(driver.calls) != sorted(chunks):
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: the driver calls chunks {driver.calls} but the "
-            f"source defines {sorted(chunks)} — chunks dropped or "
-            f"duplicated",
-            program=name,
-        ))
-    elif driver.calls != sorted(driver.calls):
-        out.append(diag(
-            "OBL-S701",
-            f"{label}: chunks called out of program order "
-            f"({driver.calls}) — the per-lane trace is reordered",
-            program=name,
-        ))
-    else:
-        try:
-            elided, sloads, ssaves = _replay_lane(
-                program, chunks, driver.calls, config, label
-            )
-            walk_ok = True
-        except _WalkFailure as failure:
-            out.append(failure.diagnostic)
+    chunks = {ci: _parse_body(bodies.get(ci, ())) for ci in range(n_chunks)}
+    try:
+        elided, sloads, ssaves = _replay_lane(program, chunks, c, label)
+        walk_ok = True
+    except _WalkFailure as failure:
+        out.append(failure.diagnostic)
     if walk_ok:
         certs.append(
             f"{label}: per-lane trace preserved — the symbolic replay of "
-            f"{len(chunks)} chunk(s) reproduces all "
+            f"{n_chunks} chunk(s) reproduces all "
             f"{program.trace_length} accesses with every store's value "
             f"equal to the sequential reference by value number"
         )
@@ -1532,23 +1333,21 @@ def certify_bulk_schedule(
             f"aliasing store between)"
         )
 
-    # 9. Span cross-check: the parsed decomposition's stage count must
-    #    match the analytic closed form (two independent derivations).
+    # 5. Span cross-check: the lemma's tiles (⌊P/TILE⌋ full ones and a
+    #    tail of P mod TILE lanes) priced in stages of w must match the
+    #    analytic closed form.
     span_tiled = span_seq = None
-    if w is not None and w >= 1 and partition_ok:
+    if w is not None and w >= 1 and frame_ok:
         from ..machine.analytic import tiled_stage_count
 
-        derived = sum(-(-ln // w) for _, ln in tiles)
-        closed = tiled_stage_count(config.p, w, macros["TILE"])
-        span_seq = -(-config.p // w)
+        full, tail = divmod(c.p, c.tile)
+        derived = full * -(-c.tile // w) + -(-tail // w)
+        closed = tiled_stage_count(c.p, w, c.tile)
+        span_seq = -(-c.p // w)
         if derived != closed:
-            out.append(diag(
-                "OBL-S701",
-                f"{label}: span cross-check failed — the parsed tile "
-                f"decomposition occupies {derived} stage(s) of w={w} but "
-                f"machine.analytic prices {closed}",
-                program=name,
-            ))
+            fail("OBL-S701", f"span cross-check failed — the lemma's tile "
+                             f"decomposition occupies {derived} stage(s) of "
+                             f"w={w} but machine.analytic prices {closed}")
         else:
             span_tiled = derived
             certs.append(
@@ -1563,8 +1362,7 @@ def certify_bulk_schedule(
     proof = ScheduleProof(
         program=name,
         label=label,
-        config=config,
-        tiles=tuple(tiles),
+        config=c,
         accesses_per_lane=program.trace_length,
         elided_loads=elided,
         spill_loads=sloads,

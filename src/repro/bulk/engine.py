@@ -77,19 +77,26 @@ def _env_knob(name: str) -> Optional[int]:
     return value
 
 
-def _stored_first_words(program: Program) -> frozenset:
-    """Local addresses whose *first* memory access is a ``Store``.
+def _unzeroed_words(program: Program) -> frozenset:
+    """Local addresses ``load()`` need not zero: no lane can observe them.
 
-    Those words are overwritten (for every lane — stores are unconditional
-    in the IR) before any load sees them, so ``load()`` need not zero them.
-    Words never accessed at all still require zeroing: they appear verbatim
-    in the unpacked output image.
+    A word whose *first* memory access is a ``Store`` is overwritten (for
+    every lane — stores are unconditional in the IR) before any load sees
+    it.  A word no instruction accesses is never read either, and unless
+    it is a declared output no image shows it.  Only words loaded before
+    they are stored, and declared outputs the program never stores,
+    start from zero.  A program that declares no outputs declares every
+    word, so its untouched words are still zeroed.
     """
     first: dict = {}
     for instr in program.instructions:
         if isinstance(instr, (Load, Store)):
             first.setdefault(instr.addr, isinstance(instr, Store))
-    return frozenset(addr for addr, stored in first.items() if stored)
+    declared = set(program.output_index().tolist())
+    return frozenset(
+        addr for addr in range(program.memory_words)
+        if first.get(addr, addr not in declared)
+    )
 
 
 def resolve_backend(
@@ -237,7 +244,7 @@ class BulkExecutor:
         if self.threads is not None and self.threads < 1:
             raise ExecutionError(f"threads must be >= 1, got {self.threads}")
         self.rounds = 0
-        self._stored_first = _stored_first_words(program)
+        self._unzeroed = _unzeroed_words(program)
         self._zero_ranges_cache: dict = {}
         self._native = None
         self._fused = None
@@ -432,13 +439,13 @@ class BulkExecutor:
 
     def _tail_zero_ranges(self, k: int) -> list:
         """Half-open ranges of ``[k, memory_words)`` that must be zeroed —
-        everything except the scratch words the program stores first."""
+        everything except the words no lane observes (:func:`_unzeroed_words`)."""
         ranges = self._zero_ranges_cache.get(k)
         if ranges is None:
             ranges = []
             start = None
             for addr in range(k, self.program.memory_words):
-                if addr in self._stored_first:
+                if addr in self._unzeroed:
                     if start is not None:
                         ranges.append((start, addr))
                         start = None
@@ -721,6 +728,10 @@ class BulkExecutor:
 
     def memory_view(self) -> np.ndarray:
         """The raw arranged buffer after the last run (read-only use).
+
+        On the NumPy engine, words no instruction accesses and no output
+        declares are never zeroed, so their contents are unspecified
+        (whatever an earlier run or input left there).
 
         A native executor has no arranged buffer: for the column layout
         this is the transposed ``(words, p)`` view of its output image,

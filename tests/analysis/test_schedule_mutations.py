@@ -21,6 +21,15 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * chunk calls reordered in the driver                      -> ``OBL-S701``
 * the per-tile register slab zeroing skipped               -> ``OBL-S701``
 
+and, hidden from the compiler by the preprocessor
+(:class:`TestPreprocessorHoles`):
+
+* a chunk call under ``#ifdef NEVER``                      -> ``OBL-S701``
+* the register zeroing or ragged zero fill under ``#if 0``  -> ``OBL-S701``
+* the ``STREAM_FENCE()`` under ``#if 0``                   -> ``OBL-S702``
+* ``SLAB`` undefined and redefined before the driver       -> ``OBL-S703``
+* ``SLAB`` defined short, its true definition under ``#if 0`` -> ``OBL-S703``
+
 and, on a program with declared outputs (:class:`TestDeclaredOutputs`):
 
 * a scatter that drops a declared word                     -> ``OBL-S701``
@@ -399,3 +408,80 @@ class TestMutationsAreErrors:
 
         for rule_id in ("OBL-S701", "OBL-S702", "OBL-S703", "OBL-S704"):
             assert RULES[rule_id].severity is Severity.ERROR
+
+
+def _hide(source, line, condition="#if 0"):
+    """Wrap one whole source line in a conditional the compiler drops."""
+    return _mutate(source, line, f"{condition}\n{line}#endif\n")
+
+
+class TestPreprocessorHoles:
+    """Lines the compiler never sees: the frame holds every line under its
+    own ``#if`` nest, so a frame line wrapped in a condition, or a macro
+    redefined around the frame, breaks the line's obligation."""
+
+    @pytest.mark.parametrize("line, condition, rule", [
+        ("        chunk_0(slab, regs);\n", "#ifdef NEVER", "OBL-S701"),
+        ("        for (long i = 0; i < NREGS * TILE; ++i) regs[i] = 0;\n",
+         "#if 0", "OBL-S701"),
+        ("        if (len < TILE) for (long i = 0; i < SLAB; ++i) "
+         "slab[i] = 0;\n", "#if 0", "OBL-S701"),
+        ("        STREAM_FENCE();\n", "#if 0", "OBL-S702"),
+    ], ids=["chunk-call", "register-zeroing", "ragged-zero-fill", "fence"])
+    def test_hidden_frame_line(self, clean, line, condition, rule):
+        program, source, config = clean
+        diags, _, _ = certify_bulk_schedule(
+            program, _hide(source, line, condition), config
+        )
+        assert any(
+            d.rule_id == rule and "compiled only under" in d.message
+            and condition in d.message for d in diags
+        )
+
+    def test_slab_redefined_before_the_driver(self, clean):
+        program, source, config = clean
+        # The compiled slab is int64_t slab[(4)] for a 64-word tile.
+        mutated = _mutate(
+            source, "void repro_bulk_kernel(",
+            "#undef SLAB\n#define SLAB (4)\nvoid repro_bulk_kernel(",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703", "OBL-S703"]
+        assert all("SLAB" in d.message for d in diags)
+
+    def test_slab_shadowed_by_a_dead_definition(self, clean):
+        program, source, config = clean
+        define = "#define SLAB 64L  /* words of the tile-private slab */\n"
+        mutated = _mutate(source, define, "#define SLAB 4L\n" + define)
+        mutated = _hide(mutated, define)
+        rules = _rules(program, mutated, config)
+        assert "OBL-S703" in rules
+        assert "OBL-S701" in rules  # the #if 0 / #endif themselves
+
+    def test_hidden_lines_reject_on_every_layout(self):
+        program = _program()
+        for layout in ("row", "padded-row"):
+            config = schedule_config(
+                program, make_arrangement(layout, program.memory_words, P),
+                tile=TILE, threads=THREADS,
+            )
+            source = config.emit(program)
+            assert _rules(program, source, config) == []
+            hidden = _hide(source, "        STREAM_FENCE();\n")
+            assert "OBL-S702" in _rules(program, hidden, config)
+
+
+class TestHiddenSideEffects:
+    def test_store_hidden_in_a_right_hand_side(self, clean):
+        program, source, config = clean
+        # The ADD still reads exactly r2 and r1, but a comma expression
+        # writes word 0 on the way.
+        mutated = _mutate(
+            source, "int64_t r3 = i64_add(r2, r1);",
+            "int64_t r3 = (mem[0 * TILE + jj] = r0, i64_add(r2, r1));",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S701" and "unrecognised statement" in d.message
+            for d in diags
+        )

@@ -87,6 +87,38 @@ def test_numpy_run_is_the_whole_run_at_the_declared_columns(spec, layout):
         ex.close()
 
 
+def test_numpy_load_zeroes_no_word_nobody_reads():
+    # OPT's row 0 and lower triangle are neither accessed nor declared:
+    # loading zeroes nothing.  A whole-memory program still zeroes its
+    # untouched words, which its image shows.
+    for name in ("opt", "matrix-chain", "lcs"):
+        program, inputs, _ = _case(get_spec(name))
+        ex = BulkExecutor(program, P)
+        assert ex._tail_zero_ranges(inputs.shape[1]) == [], name
+        ex.close()
+    tiny = BulkExecutor(_tiny(None), 2)
+    assert tiny._tail_zero_ranges(1) == [(1, 3), (4, 5)]
+    tiny.close()
+
+
+@pytest.mark.parametrize("spec", DECLARED, ids=lambda s: s.name)
+def test_numpy_fused_and_unfused_agree_across_reused_buffers(spec):
+    # Unzeroed scratch words keep the last run's contents: the declared
+    # words must not depend on them, fused or not.
+    program, first, n = _case(spec)
+    _, second, _ = _case(spec, seed=12)
+    fused, unfused = BulkExecutor(program, P), BulkExecutor(program, P, fuse=False)
+    try:
+        for inputs in (first, second, first):
+            a = fused.run(inputs).outputs.copy()
+            b = unfused.run(inputs).outputs.copy()
+            assert a.tobytes() == b.tobytes()
+            assert a.tobytes() == _declared(program, _whole(program, inputs)).tobytes()
+    finally:
+        fused.close()
+        unfused.close()
+
+
 @needs_cc
 @pytest.mark.parametrize("spec", DECLARED, ids=lambda s: s.name)
 @pytest.mark.parametrize("layout", LAYOUTS)
