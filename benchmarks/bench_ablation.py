@@ -223,27 +223,26 @@ def bench_abl_select_vs_min(benchmark, use_select):
     benchmark.extra_info["instructions"] = program.num_instructions
 
 
-@pytest.mark.parametrize("backend", ["interpreter", "fused", "native"])
+@pytest.mark.parametrize("backend", ["numpy", "native"])
 def bench_abl_backend(benchmark, backend):
-    """abl-backend: the three execution backends on one bulk OPT workload —
-    per-instruction interpreter vs the IR-fused NumPy engine vs the compiled
-    column-wise C kernel, bit-checked against each other.  The standalone
+    """abl-backend: the two execution backends on one bulk OPT workload —
+    the IR-fused NumPy engine vs the compiled column-wise C kernel, each
+    bit-checked against the IR replay of every lane.  The standalone
     flagship comparison (OPT n=32, p=8192) lives in ``bench_backends.py``
     and writes ``results/bench_backends.txt``."""
     import numpy as np
 
     from repro.codegen.compile import have_compiler
+    from repro.trace.replay import replay_lanes
 
     if backend == "native" and not have_compiler():
         pytest.skip("no C compiler")
     n, p = 16, 1024
     program = build_opt(n)
     inputs = opt_inputs(n, p)
-    if backend == "native":
-        ex = BulkExecutor(program, p, "column", backend="native")
-    else:
-        ex = BulkExecutor(program, p, "column", fuse=backend == "fused")
+    ex = BulkExecutor(program, p, "column", backend=backend)
     ex.load(inputs)
     run_pedantic(benchmark, ex.execute)
-    ref = BulkExecutor(program, p, "column", fuse=False).run(inputs).outputs
+    ref = replay_lanes(program, inputs)[:, program.output_index()]
     np.testing.assert_array_equal(ex.outputs(), ref)
+    ex.close()

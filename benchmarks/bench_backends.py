@@ -1,12 +1,11 @@
-"""Execution backends head to head: interpreter vs fused NumPy vs native C.
+"""Execution backends head to head: fused NumPy vs native C.
 
 The acceptance workload is the Figure 12 flagship: Algorithm OPT on 32-gons
 (26,228 IR instructions) bulk-run for p = 8192 inputs, column-wise.  The
 engines execute the identical program on identical inputs:
 
-* ``interpreter``     — the seed engine, one NumPy call per IR instruction;
-* ``fused``           — the same engine after the IR fusion pass (load/store
-  elision, compare+select fusion);
+* ``fused``           — the NumPy engine: the IR fusion pass (load/store
+  elision, compare+select fusion) compiled to vector ops over all lanes;
 * ``native-tiled``    — the compiled C bulk kernel: load/store forwarding,
   liveness spills, SIMD hints, ``-O3`` — single-thread;
 * ``native-threaded`` — the same kernel with an OpenMP lane-parallel
@@ -18,7 +17,9 @@ its data movement happens inside the kernel.
 
 OPT declares one output word per input (``M[1, n-1]``), so every
 engine's output image is ``(p, 1)``: the native kernels scatter that one
-word per lane and the NumPy engines unpack only it.
+word per lane and the NumPy engine unpacks only it.  Every backend's image
+must equal the fused one bit for bit, and the fused one must equal the IR
+replay on the guard's sampled lanes.
 
 The four gated ratios compare legs of the same run: ``native-tiled``
 execute is fused NumPy execute / tiled execute, ``native-tiled``
@@ -30,11 +31,12 @@ replay (:mod:`repro.trace.replay`, what the guard runs), recorded as the
 median of 21 per-repeat ratios of alternating legs.
 
 Two timings are reported per engine.  ``execute`` is the engine phase —
-for the NumPy engines the program alone, for the native kernels the
+for the NumPy engine the program alone, for the native kernels the
 program plus its gather and scatter; ``end-to-end`` is ``run()``: the
-NumPy engines add pack and zero-fill of the 128 MB arranged buffer and
+NumPy engine adds pack and zero-fill of the 128 MB arranged buffer and
 the unpack of the declared words, the native kernels only input
-validation and the output hand-off.
+validation and the output hand-off.  Both speedup columns are relative
+to ``fused``.
 
 Standalone run (writes ``results/bench_backends.txt`` and the trajectory
 records ``results/BENCH_backends.json`` the CI perf gate compares
@@ -79,10 +81,8 @@ except ImportError:  # standalone `python benchmarks/bench_backends.py` run
 def _executors(program, p, backends):
     made = {}
     for name in backends:
-        if name == "interpreter":
-            made[name] = BulkExecutor(program, p, "column", fuse=False)
-        elif name == "fused":
-            made[name] = BulkExecutor(program, p, "column", fuse=True)
+        if name == "fused":
+            made[name] = BulkExecutor(program, p, "column")
         elif name == "native-threaded":
             threads = min(4, os.cpu_count() or 1)
             made[name] = BulkExecutor(
@@ -106,7 +106,7 @@ def _native_backends() -> tuple:
     return names
 
 
-BENCH_BACKENDS = ("interpreter", "fused") + _native_backends()
+BENCH_BACKENDS = ("fused",) + _native_backends()
 
 
 @pytest.mark.parametrize("backend", BENCH_BACKENDS)
@@ -159,19 +159,6 @@ def _guard_replays(program, inputs, repeats: int = 21) -> tuple:
     )
 
 
-def _seed_run(ex, inputs) -> np.ndarray:
-    """The seed engine's exact run() composition (commit ac95c96): zero the
-    whole buffer, unblocked pack, per-instruction steps, plain transpose
-    of the whole memory (the seed had no declared outputs)."""
-    mem = ex._mem
-    mem[...] = 0
-    mem[: inputs.shape[1], :] = inputs.T
-    ex._regs[...] = 0
-    for step in ex._steps:
-        step()
-    return np.ascontiguousarray(mem.T)
-
-
 def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
     n, p = 32, 8192
     spec = get_spec("opt")
@@ -207,41 +194,39 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
     exec_t = {}
     e2e_t = {}
     for name, ex in made.items():
-        repeats = 2 if name == "interpreter" else 3
-        e2e_t[name] = _best_of(lambda ex=ex: ex.run(inputs), repeats)
+        e2e_t[name] = _best_of(lambda ex=ex: ex.run(inputs), 3)
         ex.load(inputs)
-        exec_t[name] = _best_of(ex.execute, repeats)
+        exec_t[name] = _best_of(ex.execute, 3)
         ex.load(inputs)
         ex.execute()
         outputs[name] = ex.outputs()
 
-    # The seed baseline: interpreter steps wrapped in the seed's (unblocked)
-    # pack/zero/unpack — what `run()` cost before the optimisation rounds.
-    seed_ex = made["interpreter"]
-    e2e_t["seed"] = _best_of(lambda: _seed_run(seed_ex, inputs), 2)
-    exec_t["seed"] = exec_t["interpreter"]
-    outputs["seed"] = _seed_run(seed_ex, inputs)[:, program.output_index()]
-
-    base = exec_t["seed"]
-    base_e2e = e2e_t["seed"]
+    base = exec_t["fused"]
+    base_e2e = e2e_t["fused"]
     header = (
         f"{'backend':<16} {'execute':>10} {'speedup':>9} "
         f"{'end-to-end':>12} {'speedup':>9}"
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for name in ["seed"] + backends:
+    for name in backends:
         lines.append(
             f"{name:<16} {exec_t[name]:>9.4f}s {base / exec_t[name]:>8.1f}x "
             f"{e2e_t[name]:>11.4f}s {base_e2e / e2e_t[name]:>8.1f}x"
         )
     lines.append("")
 
-    for name in backends + ["seed"]:
-        np.testing.assert_array_equal(outputs[name], outputs["interpreter"])
+    for name in backends:
+        np.testing.assert_array_equal(outputs[name], outputs["fused"])
+    lanes = GuardPolicy().sample_lanes(p)
+    replayed = replay_lanes(program, inputs[lanes])
+    np.testing.assert_array_equal(
+        replayed[:, program.output_index()], outputs["fused"][lanes]
+    )
     lines.append(
         f"all backends bit-identical on the declared output image "
-        f"({program.output_words} word(s) per input of {program.memory_words})"
+        f"({program.output_words} word(s) per input of "
+        f"{program.memory_words}); fused = IR replay on lanes {lanes}"
     )
 
     if "native-tiled" in exec_t:
@@ -293,12 +278,10 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
         )
     lines.append(
         "execute = engine phase (native: including the kernel's gather and "
-        "scatter); end-to-end = run(), which for NumPy engines adds "
+        "scatter); end-to-end = run(), which for the NumPy engine adds "
         "pack/zero of the 128 MB arranged buffer and the unpack of the "
-        "declared words.  'seed' composes "
-        "the interpreter steps with the seed's unblocked pack/zero/unpack "
-        "(its exact run() path); the NumPy rows use cache-blocked "
-        "transposes and the pooled arena."
+        "declared words, through cache-blocked transposes and the pooled "
+        "arena.  Speedups are relative to fused."
     )
     text = "\n".join(lines)
     if out_path is not None:
@@ -308,7 +291,7 @@ def main(out_path: Path | None = None, json_path: Path | None = None) -> str:
         from repro.harness.trajectory import bench_record, write_bench
 
         records = []
-        for name in ["seed"] + backends:
+        for name in backends:
             extra = {}
             if name == "native-tiled":
                 # The gated trajectory claim: fused NumPy / tiled

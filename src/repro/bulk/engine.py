@@ -24,12 +24,14 @@ Either backend's output image is ``(p, output_words)``: each input's
 declared output words (:attr:`repro.trace.ir.Program.output_ranges`), or
 its whole final memory when the program declares none.
 
-The instruction stream is *pre-compiled* to a list of argument-bound
-closures once per (program, p) pair, so the per-step interpreter overhead
-is one Python call; all data movement stays in C.  Buffers are allocated
-once and reused across :meth:`BulkExecutor.run` calls (guides: avoid
-allocation in hot loops; use ``out=``/views, not copies); so is the
-output image's store, once the caller has released the last result.
+The NumPy backend compiles the instruction stream once per (program, p)
+pair through the fusion pass (:func:`repro.bulk.fusion.compile_fused`):
+loads become views, compares feed select masks directly, and what is left
+is a list of buffer-bound closures, one Python call per fused step; all
+data movement stays in C.  Buffers are allocated once and reused across
+:meth:`BulkExecutor.run` calls (no allocation in hot loops;
+``out=``/views, not copies); so is the output image's store, once the
+caller has released the last result.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -46,8 +48,7 @@ from ..reliability import faults
 from ..reliability.guard import GuardPolicy
 from ..reliability.incidents import record_incident
 from ..reliability.quarantine import quarantine_key
-from ..trace.ir import Binary, Const, Load, Program, Select, Store, Unary
-from ..trace.ops import BINARY_UFUNCS, UNARY_UFUNCS
+from ..trace.ir import Load, Program, Store
 from ..trace.replay import replay_lanes
 from . import arena
 from .arrangement import Arrangement, make_arrangement
@@ -172,11 +173,6 @@ class BulkExecutor:
     backend:
         ``"numpy"`` (default), ``"native"`` (compiled C bulk kernel, needs a
         C compiler) or ``"auto"`` (native when possible, else NumPy).
-    fuse:
-        NumPy backend only: run the IR fusion pass (load/store elision,
-        compare+select fusion — see :mod:`repro.bulk.fusion`).  ``False``
-        reproduces the seed one-NumPy-call-per-instruction interpreter;
-        outputs are bit-identical either way.
     guard:
         ``None``/``"off"`` (trust the backend), ``"spot"`` or a
         :class:`~repro.reliability.GuardPolicy`.  When the native backend
@@ -211,7 +207,6 @@ class BulkExecutor:
         p: int,
         arrangement: Union[str, Arrangement] = "column",
         backend: str = "numpy",
-        fuse: bool = True,
         guard: Union[None, str, GuardPolicy] = None,
         tile: Optional[int] = None,
         threads: Optional[int] = None,
@@ -234,7 +229,6 @@ class BulkExecutor:
         self.requested_backend = backend
         self.guard = GuardPolicy.coerce(guard)
         self.backend = resolve_backend(backend, program, self.arrangement)
-        self.fuse = bool(fuse)
         self.tile = int(tile) if tile is not None else _env_knob(ENV_NATIVE_TILE)
         self.threads = (
             int(threads) if threads is not None else _env_knob(ENV_NATIVE_THREADS)
@@ -248,7 +242,6 @@ class BulkExecutor:
         self._zero_ranges_cache: dict = {}
         self._native = None
         self._fused = None
-        self._steps: Optional[List[Callable[[], None]]] = None
         self._pad_blocks: dict = {}
         self._closed = False
         self._mem: Optional[np.ndarray] = None
@@ -323,92 +316,15 @@ class BulkExecutor:
         else:
             self._mem = self.arrangement.allocate(dtype)
         self._regs = np.zeros((program.num_registers, self.p), dtype=dtype)
-        self._mask = np.empty(self.p, dtype=bool)
-        self._tmp = np.empty(self.p, dtype=dtype)
-        if self.fuse:
-            self._mask2 = np.empty(self.p, dtype=bool)
-            self._fused = compile_fused(
-                program, self.arrangement, self._mem, self._regs,
-                self._mask, self._mask2,
-            )
-        else:
-            self._steps = self._compile()
+        self._fused = compile_fused(
+            program, self.arrangement, self._mem, self._regs,
+            np.empty(self.p, dtype=bool), np.empty(self.p, dtype=bool),
+        )
 
     @property
     def fusion_stats(self) -> Optional[FusionStats]:
-        """What the fusion pass did (``None`` on unfused/native paths)."""
+        """What the fusion pass did (``None`` on the native backend)."""
         return self._fused.stats if self._fused is not None else None
-
-    # -- compilation -----------------------------------------------------------
-    def _compile(self) -> List[Callable[[], None]]:
-        """Bind every instruction to its buffers as a zero-arg closure."""
-        regs = self._regs
-        mem = self._mem
-        arr = self.arrangement
-        mask = self._mask
-        tmp = self._tmp
-        steps: List[Callable[[], None]] = []
-        for instr in self.program.instructions:
-            if isinstance(instr, Load):
-                out = regs[instr.rd]
-                addr = instr.addr
-
-                def do_load(out=out, addr=addr) -> None:
-                    arr.read_step(mem, addr, out)
-
-                steps.append(do_load)
-            elif isinstance(instr, Store):
-                src = regs[instr.rs]
-                addr = instr.addr
-
-                def do_store(src=src, addr=addr) -> None:
-                    arr.write_step(mem, addr, src)
-
-                steps.append(do_store)
-            elif isinstance(instr, Binary):
-                fn = BINARY_UFUNCS[instr.op]
-                a, b, out = regs[instr.ra], regs[instr.rb], regs[instr.rd]
-
-                def do_bin(fn=fn, a=a, b=b, out=out) -> None:
-                    fn(a, b, out=out)
-
-                steps.append(do_bin)
-            elif isinstance(instr, Unary):
-                fn = UNARY_UFUNCS[instr.op]
-                a, out = regs[instr.ra], regs[instr.rd]
-
-                def do_un(fn=fn, a=a, out=out) -> None:
-                    fn(a, out=out)
-
-                steps.append(do_un)
-            elif isinstance(instr, Select):
-                c, a, b, out = (
-                    regs[instr.rc],
-                    regs[instr.ra],
-                    regs[instr.rb],
-                    regs[instr.rd],
-                )
-
-                # rd may alias any operand (register reuse), so stage the
-                # result in the scratch vector before committing.
-                def do_sel(c=c, a=a, b=b, out=out) -> None:
-                    np.not_equal(c, 0, out=mask)
-                    np.copyto(tmp, b)
-                    np.copyto(tmp, a, where=mask)
-                    np.copyto(out, tmp)
-
-                steps.append(do_sel)
-            elif isinstance(instr, Const):
-                out = regs[instr.rd]
-                imm = instr.imm
-
-                def do_const(out=out, imm=imm) -> None:
-                    out.fill(imm)
-
-                steps.append(do_const)
-            else:  # pragma: no cover - unreachable with a validated program
-                raise ExecutionError(f"unknown instruction: {instr!r}")
-        return steps
 
     # -- execution ---------------------------------------------------------------
     def load(self, inputs: np.ndarray) -> None:
@@ -420,6 +336,7 @@ class BulkExecutor:
         the (C-contiguous) inputs for its kernel to gather from, so the
         caller must not modify them before :meth:`execute`.
         """
+        self._check_open()
         arr = np.asarray(inputs, dtype=self.program.dtype)
         if arr.ndim != 2 or arr.shape[0] != self.p:
             raise ExecutionError(
@@ -459,17 +376,14 @@ class BulkExecutor:
     def execute(self) -> None:
         """Run the program over the currently loaded buffer (the engine
         phase proper — what the backends differ in; benchmarks time this)."""
+        self._check_open()
         if self._native is not None:
             image = self._output_image()
             self._native.run_bulk(self._inputs, image)
             self._image = image
         else:
             self._regs[...] = 0
-            if self._fused is not None:
-                self._fused.run()
-            else:
-                for step in self._steps:
-                    step()
+            self._fused.run()
 
     def outputs(self) -> np.ndarray:
         """Unpack the buffer's declared words into a ``(p, output_words)``
@@ -478,6 +392,7 @@ class BulkExecutor:
         The image is a fresh :meth:`_output_image`.  A native executor
         returns the output image its last :meth:`execute` wrote.
         """
+        self._check_open()
         if self._native is not None:
             return self._native_image()
         image = self._output_image()
@@ -581,10 +496,6 @@ class BulkExecutor:
             # machinery; the extra copy is the price of safety.
             np.copyto(out, self._pad_and_run(arr, q).outputs[:q])
             return
-        if self.closed:
-            raise ExecutionError(
-                f"executor for {self.program.name!r} has been closed"
-            )
         self.load(self._padded(arr, q))
         self.execute()
         self.rounds += 1
@@ -612,16 +523,18 @@ class BulkExecutor:
     def close(self) -> None:
         """Release the native kernel handle and poison the executor.
 
-        Idempotent.  A closed executor raises on :meth:`run` — an
-        interrupted session must never silently execute half-fed work
-        later, and its compiled-kernel handle must not stay mapped for the
-        life of the process (see :class:`~repro.codegen.compile.
-        CompiledBulkKernel.close`).
+        Idempotent.  A closed executor raises :class:`~repro.errors.
+        ExecutionError` on :meth:`run`, :meth:`load`, :meth:`execute`,
+        :meth:`outputs` and :meth:`memory_view` — an interrupted session
+        must never silently execute half-fed work later, its compiled-kernel
+        handle must not stay mapped for the life of the process (see
+        :class:`~repro.codegen.compile.CompiledBulkKernel.close`), and its
+        arranged buffer, once back in the arena, belongs to whichever
+        executor acquires it next.
         """
         native, self._native = self._native, None
         if native is not None:
             native.close()
-        self._steps = None
         self._fused = None
         self._pad_blocks = {}
         if not self._closed and self._mem is not None and (
@@ -630,6 +543,7 @@ class BulkExecutor:
             # Hand the aligned buffer back to the arena: the next executor
             # with this geometry reuses it instead of reallocating.
             arena.release(self._mem)
+        self._mem = self._regs = None
         self._image = self._store = None
         self._closed = True
 
@@ -637,6 +551,12 @@ class BulkExecutor:
     def closed(self) -> bool:
         """Has :meth:`close` been called?"""
         return getattr(self, "_closed", False)
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise ExecutionError(
+                f"executor for {self.program.name!r} has been closed"
+            )
 
     def run(self, inputs: np.ndarray) -> BulkResult:
         """Execute the program for ``inputs`` of shape ``(p, k)``.
@@ -651,10 +571,7 @@ class BulkExecutor:
         split :meth:`load`/:meth:`execute`/:meth:`outputs` benchmark path is
         deliberately bare.
         """
-        if self.closed:
-            raise ExecutionError(
-                f"executor for {self.program.name!r} has been closed"
-            )
+        self._check_open()
         if self._native is not None:
             return self._run_native(np.asarray(inputs, dtype=self.program.dtype))
         self.load(inputs)
@@ -740,6 +657,7 @@ class BulkExecutor:
         so there is no buffer to show and this raises
         :class:`~repro.errors.ExecutionError`.
         """
+        self._check_open()
         if self._native is None:
             return self._mem
         if self.program.outputs is not None:
@@ -768,7 +686,6 @@ def bulk_run(
     inputs: np.ndarray,
     arrangement: Union[str, Arrangement] = "column",
     backend: str = "numpy",
-    fuse: bool = True,
     guard: Union[None, str, GuardPolicy] = None,
     tile: Optional[int] = None,
     threads: Optional[int] = None,
@@ -781,8 +698,8 @@ def bulk_run(
     if arr.ndim != 2:
         raise ExecutionError(f"expected 2-D inputs (p, k), got shape {arr.shape}")
     executor = BulkExecutor(
-        program, arr.shape[0], arrangement, backend=backend, fuse=fuse,
-        guard=guard, tile=tile, threads=threads,
+        program, arr.shape[0], arrangement, backend=backend, guard=guard,
+        tile=tile, threads=threads,
     )
     try:
         return executor.run(arr).outputs

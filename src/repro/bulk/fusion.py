@@ -1,14 +1,15 @@
 """IR fusion for the NumPy bulk engine — fewer vector passes, same bits.
 
-The seed engine executes one NumPy operation per IR instruction, which at
-large ``p`` is *memory-bandwidth* bound, not dispatch bound: every ``Load``
+One NumPy operation per IR instruction is, at large ``p``,
+*memory-bandwidth* bound, not dispatch bound: every ``Load``
 copies a full length-``p`` row into a register row, every comparison
 materialises a 0/1 vector in the program dtype, and every ``Select`` stages
 through a scratch vector.  This pass removes those redundant passes at
 compile time, exploiting the same property the whole paper rests on: the
 program is *straight-line and oblivious*, so every data-flow fact is static.
 
-Rewrites (all exact — outputs are bit-identical to the unfused engine):
+Rewrites (all exact — outputs are bit-identical to the IR replay,
+:mod:`repro.trace.replay`, and the sequential interpreter):
 
 **load elision**
     ``Load rd, a`` binds register ``rd`` to a *view* of memory row ``a``

@@ -76,8 +76,6 @@ class BulkSession:
     backend:
         Execution backend of the underlying executor (``"numpy"``,
         ``"native"`` or ``"auto"`` — see :class:`BulkExecutor`).
-    fuse:
-        NumPy backend only: run the IR fusion pass (default on).
     guard:
         Guard policy forwarded to the executor (``None``, ``"spot"`` or a
         :class:`~repro.reliability.GuardPolicy`) — see
@@ -103,7 +101,6 @@ class BulkSession:
         batch: int,
         arrangement: str = "column",
         backend: str = "numpy",
-        fuse: bool = True,
         guard: Union[None, str, GuardPolicy] = None,
         tile: Optional[int] = None,
         threads: Optional[int] = None,
@@ -113,8 +110,8 @@ class BulkSession:
         self.program = program
         self.batch = int(batch)
         self._executor = BulkExecutor(
-            program, self.batch, arrangement, backend=backend, fuse=fuse,
-            guard=guard, tile=tile, threads=threads,
+            program, self.batch, arrangement, backend=backend, guard=guard,
+            tile=tile, threads=threads,
         )
         self._pending: List[np.ndarray] = []
         self._input_width: Optional[int] = None

@@ -384,7 +384,6 @@ class ShardedServer(BulkServer):
             args=(shard_id, work, done_writer),
             kwargs=dict(
                 backend=cfg.backend,
-                fuse=cfg.fuse,
                 guard=cfg.guard,
                 warp=cfg.warp,
                 latency=cfg.latency,

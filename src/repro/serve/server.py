@@ -113,7 +113,7 @@ class ServeConfig:
         Round executor sizes up to warp multiples (keeps the executor pool
         small and the batch shape the paper's).  Disable for the
         single-lane baseline.
-    backend / fuse / guard:
+    backend / guard:
         Forwarded to every :class:`~repro.bulk.engine.BulkExecutor` the
         server builds; ``guard="spot"`` is the recommended production
         setting for native backends.
@@ -141,7 +141,6 @@ class ServeConfig:
     policy: Union[str, int, BatchPolicy] = "adaptive"
     pad_to_warp: bool = True
     backend: str = "numpy"
-    fuse: bool = True
     guard: Union[None, str, GuardPolicy] = None
     native_tile: Optional[int] = None
     native_threads: Optional[int] = None
@@ -193,7 +192,7 @@ def column_executor(
     if executor is None:
         executor = cache[lanes] = BulkExecutor(
             program, lanes, "column", backend=config.backend,
-            fuse=config.fuse, guard=config.guard,
+            guard=config.guard,
             tile=config.native_tile, threads=config.native_threads,
         )
     return executor

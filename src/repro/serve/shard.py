@@ -136,7 +136,6 @@ def shard_main(
     done,
     *,
     backend: str = "numpy",
-    fuse: bool = True,
     guard: Optional[str] = None,
     warp: int = 32,
     latency: int = 100,
@@ -174,7 +173,7 @@ def shard_main(
 
     promotion_store().preload()
     config = ServeConfig(
-        backend=backend, fuse=fuse, guard=guard, warp=warp, latency=latency,
+        backend=backend, guard=guard, warp=warp, latency=latency,
         native_tile=native_tile, native_threads=native_threads,
     )
     policy = AdaptivePolicy(w=warp, l=latency, speedup=config.lane_speedup())

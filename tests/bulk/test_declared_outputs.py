@@ -29,6 +29,7 @@ from repro.serve import ShardedServer
 from repro.serve.shm import SlotArena
 from repro.trace.interpreter import run_sequential
 from repro.trace.ir import Const, Program, Store, concat_programs
+from repro.trace.replay import replay_lanes
 from repro.trace.serialize import program_from_dict, program_to_dict
 
 needs_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler")
@@ -78,13 +79,15 @@ def test_the_single_answer_dps_declare_their_answer():
 def test_numpy_run_is_the_whole_run_at_the_declared_columns(spec, layout):
     program, inputs, n = _case(spec)
     want = _declared(program, _whole(program, inputs, layout))
-    for fuse in (True, False):
-        ex = BulkExecutor(program, P, layout, fuse=fuse)
-        got = ex.run(inputs).outputs
-        assert got.shape == (P, program.output_words)
-        assert got.tobytes() == want.tobytes()
-        spec.check_outputs(inputs, got, n)
-        ex.close()
+    assert want.tobytes() == _declared(
+        program, replay_lanes(program, inputs)
+    ).tobytes()
+    ex = BulkExecutor(program, P, layout)
+    got = ex.run(inputs).outputs
+    assert got.shape == (P, program.output_words)
+    assert got.tobytes() == want.tobytes()
+    spec.check_outputs(inputs, got, n)
+    ex.close()
 
 
 def test_numpy_load_zeroes_no_word_nobody_reads():
@@ -104,19 +107,19 @@ def test_numpy_load_zeroes_no_word_nobody_reads():
 @pytest.mark.parametrize("spec", DECLARED, ids=lambda s: s.name)
 def test_numpy_fused_and_unfused_agree_across_reused_buffers(spec):
     # Unzeroed scratch words keep the last run's contents: the declared
-    # words must not depend on them, fused or not.
+    # words must not depend on them.  The unfused reference is the IR
+    # replay, which starts every lane from fresh memory.
     program, first, n = _case(spec)
     _, second, _ = _case(spec, seed=12)
-    fused, unfused = BulkExecutor(program, P), BulkExecutor(program, P, fuse=False)
+    fused = BulkExecutor(program, P)
     try:
         for inputs in (first, second, first):
             a = fused.run(inputs).outputs.copy()
-            b = unfused.run(inputs).outputs.copy()
-            assert a.tobytes() == b.tobytes()
+            unfused = _declared(program, replay_lanes(program, inputs))
+            assert a.tobytes() == unfused.tobytes()
             assert a.tobytes() == _declared(program, _whole(program, inputs)).tobytes()
     finally:
         fused.close()
-        unfused.close()
 
 
 @needs_cc

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.registry import get_spec
 from repro.bulk import BulkExecutor, bulk_run
 from repro.errors import ExecutionError
 from repro.trace import ProgramBuilder, run_sequential
+from repro.trace.interpreter import run_sequential_batch
 
 
 def build_mixed_program(n=6):
@@ -76,6 +78,27 @@ class TestBasics:
         assert res.p == 3
         assert res.trace_length == prog.trace_length
         assert res.outputs.shape == (3, 6)
+
+    def test_closed_executor_never_touches_a_pooled_buffer(self, rng):
+        """A closed executor's column buffer goes back to the arena, where
+        the next executor of the same shape picks it up; the closed one
+        must then refuse every call instead of writing into it."""
+        prog = get_spec("prefix-sums").build(8)
+        a = BulkExecutor(prog, p=16)
+        a.run(rng.integers(-9, 9, (16, 8)))
+        a.close()
+        b = BulkExecutor(prog, p=16)
+        inputs = rng.integers(-9, 9, (16, 8))
+        b.load(inputs)
+        with pytest.raises(ExecutionError, match="closed"):
+            a.load(np.zeros((16, 8), dtype=prog.dtype))
+        for call in (a.execute, a.outputs, a.memory_view):
+            with pytest.raises(ExecutionError, match="closed"):
+                call()
+        b.execute()
+        want, _ = run_sequential_batch(prog, inputs)
+        np.testing.assert_array_equal(b.outputs(), want)
+        b.close()
 
     def test_int_dtype_program(self, rng):
         b = ProgramBuilder(3, dtype=np.int64)

@@ -83,10 +83,9 @@ def test_fixtures_pin_numpy_semantics():
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("fuse", [True, False])
-def test_numpy_engine_and_replay(name, fuse):
+def test_numpy_engine_and_replay(name):
     program, inputs, want = _case(name)
-    ex = BulkExecutor(program, len(inputs), "column", fuse=fuse)
+    ex = BulkExecutor(program, len(inputs), "column")
     with np.errstate(all="ignore"):
         out = ex.run(inputs).outputs
     ex.close()

@@ -4,9 +4,10 @@ The perf PR's acceptance contract, as tests:
 
 * **registry-wide bit identity** — every algorithm, crossed with tile
   sizes (including non-divisors of ``p``), thread counts, partial batches
-  and guarded mode, produces the *same memory image* as the NumPy engine
-  with fusion off (the strictest oracle: every intermediate cell, not
-  just the outputs);
+  and guarded mode, produces the *same memory image* as the IR replay
+  (:func:`~repro.trace.replay.replay_lanes`: every cell of the final
+  memory, not just the outputs, from an engine that shares no code with
+  the emitter);
 * **clean degrade** — a ``threads=4`` request on a toolchain without
   OpenMP yields a working single-thread kernel, bit-identical;
 * **no per-batch churn** — ``run_trimmed`` returns a view of the unpacked
@@ -37,6 +38,7 @@ from repro.codegen.cache import cache_stats
 from repro.codegen.compile import compile_bulk, have_compiler, have_openmp
 from repro.errors import ExecutionError
 from repro.reliability.incidents import clear_incidents, incidents
+from repro.trace.replay import replay_lanes
 
 needs_cc = pytest.mark.skipif(not have_compiler(), reason="no C compiler")
 
@@ -75,9 +77,7 @@ def test_registry_native_variants_bit_identical(spec):
     # every candidate tile, so every kernel exercises a ragged last tile.
     p = 23
     program, inputs = _spec_case(spec, p)
-    reference, _ = _full_memory(
-        program, p, inputs, backend="numpy", fuse=False
-    )
+    reference = replay_lanes(program, inputs).T
     variants = [
         dict(tile=5),                 # non-divisor of 23
         dict(tile=64),                # tile > p: one partial tile
@@ -90,7 +90,7 @@ def test_registry_native_variants_bit_identical(spec):
         assert ex.backend == "native"
         np.testing.assert_array_equal(
             mem, reference,
-            err_msg=f"{spec.name} native {kwargs} diverged from NumPy",
+            err_msg=f"{spec.name} native {kwargs} diverged from the replay",
         )
     # 64-instruction chunks: most registry programs fit the default
     # 512-instruction chunk, so this leg is what drives their registers
@@ -105,7 +105,7 @@ def test_registry_native_variants_bit_identical(spec):
         kernel.close()
     np.testing.assert_array_equal(
         out.T, reference,
-        err_msg=f"{spec.name} native chunk=64 diverged from NumPy",
+        err_msg=f"{spec.name} native chunk=64 diverged from the replay",
     )
 
 
@@ -115,9 +115,7 @@ def test_thread_counts_bit_identical(threads):
     p = 64
     spec = get_spec("prefix-sums")
     program, inputs = _spec_case(spec, p)
-    reference, _ = _full_memory(
-        program, p, inputs, backend="numpy", fuse=False
-    )
+    reference = replay_lanes(program, inputs).T
     mem, ex = _full_memory(
         program, p, inputs, backend="native", tile=24, threads=threads
     )
@@ -137,15 +135,12 @@ def test_partial_batches_trimmed_bit_identical():
         with_native = BulkExecutor(
             program, p, backend="native", tile=6, threads=2
         )
-        with_numpy = BulkExecutor(program, p, backend="numpy", fuse=False)
         try:
             got = with_native.run_trimmed(rows)
-            want = with_numpy.run_trimmed(rows)
             assert got.shape[0] == q
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, replay_lanes(program, rows))
         finally:
             with_native.close()
-            with_numpy.close()
 
 
 @needs_cc
@@ -171,9 +166,7 @@ def test_threads_degrade_cleanly_without_openmp(monkeypatch):
     p = 16
     spec = get_spec("prefix-sums")
     program, inputs = _spec_case(spec, p)
-    reference, _ = _full_memory(
-        program, p, inputs, backend="numpy", fuse=False
-    )
+    reference = replay_lanes(program, inputs).T
     mem, ex = _full_memory(
         program, p, inputs, backend="native", tile=8, threads=4
     )
