@@ -62,7 +62,7 @@ def cmd_simulate(args) -> int:
     bound = lower_bound(params, t)
     methods = set()
     for arrangement in ("row", "column"):
-        rep = simulate_bulk(program, machine, arrangement, method=args.method)
+        rep = simulate_bulk(program, machine, arrangement)
         methods.add(rep.method)
         tab.add_row([arrangement, f"{rep.total_time:,}", f"{rep.total_time / bound:.2f}x"])
     tab.add_note(f"t = {t} accesses; lower bound {bound:,} time units; "
@@ -765,13 +765,6 @@ def main(argv: list[str] | None = None) -> int:
     add_algo(p)
     add_machine(p)
     p.add_argument("--machine", choices=["umm", "dmm"], default="umm")
-    p.add_argument(
-        "--method",
-        choices=["auto", "analytic", "memoized", "chunked"],
-        default="auto",
-        help="pricing method: closed-form/memoized fast paths or the "
-        "chunked O(t*p) reference oracle",
-    )
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("analyze", help="coalescing analysis of a bulk trace")

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from ..bulk.arrangement import Arrangement, make_arrangement
-from ..errors import MachineConfigError
+from ..bulk.simulate import step_stages
 from ..machine.params import MachineParams
 from ..machine.umm import UMM
 from ..trace.ir import Program
@@ -106,26 +106,15 @@ def analyze_coalescing(
     program: Program,
     params: MachineParams,
     arrangement: Union[str, Arrangement] = "column",
-    *,
-    chunk_steps: int = 4096,
 ) -> CoalescingReport:
     """Analyse how well ``program`` coalesces under ``arrangement``.
 
-    Uses the same warp/address-group accounting as the UMM simulator, so
+    The per-step stage counts come from the cost simulator's own pricing
+    path (:func:`~repro.bulk.simulate.step_stages` on the UMM), so
     ``report.step_stages.sum() + (l-1)·t`` equals the simulated total time.
     """
-    if chunk_steps < 1:
-        raise MachineConfigError(f"chunk_steps must be >= 1, got {chunk_steps}")
     arr = make_arrangement(arrangement, program.memory_words, params.p)
-    umm = UMM(params)
-    trace = program.address_trace()
-    pieces: List[np.ndarray] = []
-    for lo in range(0, trace.size, chunk_steps):
-        chunk = trace[lo : lo + chunk_steps]
-        pieces.append(umm.trace_cost(arr.trace_addresses(chunk)).step_stages)
-    stages = (
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-    )
+    stages, _ = step_stages(program.address_trace(), arr, UMM(params))
     return CoalescingReport(
         params=params,
         arrangement=arr.name,

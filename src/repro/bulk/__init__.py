@@ -42,7 +42,6 @@ from .lower_bound import (
 )
 from .session import BulkSession, SessionStats
 from .simulate import (
-    SIMULATION_METHODS,
     BulkSimulationReport,
     compare_arrangements,
     simulate_bulk,
@@ -75,7 +74,6 @@ __all__ = [
     "simulate_trace",
     "compare_arrangements",
     "BulkSimulationReport",
-    "SIMULATION_METHODS",
     "convert",
     "convert_and_check",
     "SymbolicMemory",

@@ -79,19 +79,26 @@ class Arrangement(ABC):
         """Global addresses touched by all ``p`` threads at one bulk step."""
         return self.global_address(local, self._threads)
 
-    def _check_trace(self, local_trace: np.ndarray) -> np.ndarray:
-        a = np.asarray(local_trace, dtype=np.int64)
+    def check_trace(self, local_trace: np.ndarray) -> np.ndarray:
+        """The local trace as int64, or :class:`ArrangementError` if no
+        program over ``words`` words could have produced it: not 1-D, not
+        integer, or touching an address outside ``[0, words)``."""
+        a = np.asarray(local_trace)
         if a.ndim != 1:
             raise ArrangementError(f"expected 1-D local trace, got shape {a.shape}")
-        if a.size and (a.min() < 0 or a.max() >= self.words):
+        if a.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if not np.issubdtype(a.dtype, np.integer):
+            raise ArrangementError(f"local trace must hold integers, got {a.dtype}")
+        if a.min() < 0 or a.max() >= self.words:
             raise ArrangementError(
                 f"local trace touches addresses outside [0, {self.words})"
             )
-        return a
+        return a.astype(np.int64, copy=False)
 
     def trace_addresses(self, local_trace: np.ndarray) -> np.ndarray:
         """The full ``(t, p)`` bulk address matrix of a sequential trace."""
-        a = self._check_trace(local_trace)
+        a = self.check_trace(local_trace)
         out = np.empty((a.size, self.p), dtype=np.int64)
         self._fill_trace(a, out)
         return out
@@ -103,10 +110,10 @@ class Arrangement(ABC):
 
         ``out`` must be a C-contiguous int64 array of shape ``(m, p)`` with
         ``m >= len(local_trace)``; the filled ``(t, p)`` leading view is
-        returned.  The chunked cost path uses this to price arbitrarily long
-        traces with one reusable buffer.
+        returned.  Distinct-address pricing (:func:`repro.bulk.simulate.step_stages`)
+        uses this to price any number of addresses with one reusable buffer.
         """
-        a = self._check_trace(local_trace)
+        a = self.check_trace(local_trace)
         if (
             out.ndim != 2
             or out.shape[1] != self.p

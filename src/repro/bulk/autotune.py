@@ -75,16 +75,12 @@ def best_arrangement_model(
     program: Program,
     params: MachineParams,
     candidates: Sequence[str] = _DEFAULT_CANDIDATES,
-    *,
-    method: str = "auto",
 ) -> ArrangementChoice:
     """Choose by exact UMM time units (Theorem 2 made executable)."""
     if not candidates:
         raise ExecutionError("no candidate arrangements")
     scores = {
-        arrangement: float(
-            simulate_bulk(program, params, arrangement, method=method).total_time
-        )
+        arrangement: float(simulate_bulk(program, params, arrangement).total_time)
         for arrangement in candidates
     }
     winner = min(scores, key=scores.__getitem__)

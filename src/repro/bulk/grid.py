@@ -121,8 +121,6 @@ def grid_time_units(
     machine_width: int,
     machine_latency: int,
     arrangement: str = "column",
-    *,
-    method: str = "auto",
 ) -> int:
     """Model cost of a time-shared grid run.
 
@@ -136,5 +134,5 @@ def grid_time_units(
         raise ExecutionError(f"p must be positive, got {p}")
     resident = config.resident_threads
     params = MachineParams(p=resident, w=machine_width, l=machine_latency)
-    per_round = simulate_bulk(program, params, arrangement, method=method).total_time
+    per_round = simulate_bulk(program, params, arrangement).total_time
     return config.num_rounds(p) * per_round

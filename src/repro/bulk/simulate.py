@@ -10,24 +10,21 @@ warp/address-group/pipeline occupancy (Section II).
 Obliviousness also makes pricing *cheap*: a bulk step's cost is a pure
 function of its local address (given the arrangement and machine), and a
 program touches at most ``memory_words`` distinct addresses — ``n²`` for
-OPT against ``t = O(n³)`` steps.  Three pricing methods exploit this, all
-exact and mutually bit-identical:
+OPT against ``t = O(n³)`` steps.  :func:`step_stages` is the one pricing
+path: it validates the trace, prices each distinct local address once and
+indexes those prices per step.  A price comes from one of two sources:
 
-``"chunked"``
-    The reference oracle: materialise the ``(t, p)`` bulk address matrix in
-    step chunks (one reusable buffer) and price every step — O(t·p) work.
-``"memoized"``
-    Price each *distinct* local address once (``np.unique``), then weight
-    the per-address costs by their occurrence counts (``bincount``) —
-    O(n·p + t) work.
 ``"analytic"``
     Closed-form stage tables from :mod:`repro.machine.analytic` for the
-    library arrangements on the UMM/DMM — O(t + w) work, no per-thread
-    factor at all.
+    library arrangements on the UMM/DMM — no per-thread factor at all.
+``"memoized"``
+    Any other (arrangement, machine) pair — a subclass may redefine the
+    address map or the stage accounting — is priced through
+    ``machine.trace_cost`` over the distinct addresses, in fixed chunks.
 
-``method="auto"`` (the default) selects analytic when a closed form exists
-for the (arrangement, machine) pair and memoized otherwise; the analytic
-tables are cross-checked against ``machine.step_cost`` at construction.
+The analytic tables are cross-checked against ``machine.step_cost`` at
+construction.  The full ``(t, p)`` reference is the machine's own
+primitive, ``machine.trace_cost(arrangement.trace_addresses(trace))``.
 """
 
 from __future__ import annotations
@@ -47,15 +44,15 @@ from ..trace.ir import Program
 from .arrangement import Arrangement, make_arrangement
 
 __all__ = [
-    "SIMULATION_METHODS",
     "BulkSimulationReport",
+    "step_stages",
     "simulate_bulk",
     "simulate_trace",
     "compare_arrangements",
 ]
 
-#: Valid ``method=`` values, in resolution-priority order.
-SIMULATION_METHODS = ("auto", "analytic", "memoized", "chunked")
+#: Addresses per ``trace_cost`` call on the memoized path (8 MB of int64).
+_CHUNK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,7 @@ class BulkSimulationReport:
     theorem3_bound:
         The ``Ω(pt/w + lt)`` lower bound for this configuration.
     method:
-        The pricing method that actually ran (``"auto"`` resolved).
+        The price source that ran: ``"analytic"`` or ``"memoized"``.
     """
 
     machine: MachineParams
@@ -86,7 +83,7 @@ class BulkSimulationReport:
     total_time: int
     total_stages: int
     theorem3_bound: int
-    method: str = "chunked"
+    method: str
 
     @property
     def optimality_ratio(self) -> float:
@@ -104,123 +101,56 @@ class BulkSimulationReport:
         return other.total_time / self.total_time if self.total_time else float("inf")
 
 
-def _totals_chunked(
-    trace: np.ndarray,
-    arrangement: Arrangement,
-    machine: MemoryMachineSimulator,
-    chunk_steps: int,
-) -> Tuple[int, int]:
-    """Reference pricing: every step of the ``(t, p)`` matrix, chunked.
-
-    One ``(chunk_steps, p)`` buffer is allocated up front and refilled in
-    place per chunk (no fresh matrix per iteration); totals are exact and
-    independent of the chunk size.
-    """
-    total_time = 0
-    total_stages = 0
-    if trace.size == 0:
-        return total_time, total_stages
-    buf = np.empty((min(chunk_steps, trace.size), arrangement.p), dtype=np.int64)
-    for lo in range(0, trace.size, chunk_steps):
-        chunk = trace[lo : lo + chunk_steps]
-        report = machine.trace_cost(arrangement.trace_addresses_into(chunk, buf))
-        total_time += report.total_time
-        total_stages += report.total_stages
-    return total_time, total_stages
-
-
-def _totals_memoized(
-    trace: np.ndarray,
-    arrangement: Arrangement,
-    machine: MemoryMachineSimulator,
-    chunk_steps: int,
-) -> Tuple[int, int]:
-    """Distinct-address pricing: each local address is costed exactly once.
-
-    The cost of a bulk step depends only on its local address, so pricing
-    the ``d <= memory_words`` distinct addresses and weighting by their
-    multiplicities reproduces the chunked totals bit for bit in
-    O(d·p + t) work.
-    """
-    if trace.size == 0:
-        return 0, 0
-    uniq, inverse = np.unique(trace, return_inverse=True)
-    times = np.empty(uniq.size, dtype=np.int64)
-    stages = np.empty(uniq.size, dtype=np.int64)
-    buf = np.empty((min(chunk_steps, uniq.size), arrangement.p), dtype=np.int64)
-    for lo in range(0, uniq.size, chunk_steps):
-        chunk = uniq[lo : lo + chunk_steps]
-        report = machine.trace_cost(arrangement.trace_addresses_into(chunk, buf))
-        times[lo : lo + chunk.size] = report.step_times
-        stages[lo : lo + chunk.size] = report.step_stages
-    counts = np.bincount(inverse, minlength=uniq.size)
-    return int(counts @ times), int(counts @ stages)
-
-
-def _resolve_method(
-    method: str, arrangement: Arrangement, machine: MemoryMachineSimulator
-):
-    """``(resolved_name, kernel_or_None)`` for a requested pricing method."""
-    if method not in SIMULATION_METHODS:
-        raise MachineConfigError(
-            f"unknown simulation method {method!r}; "
-            f"expected one of {SIMULATION_METHODS}"
-        )
-    if method in ("auto", "analytic"):
-        kernel = analytic_kernel(arrangement, machine)
-        if kernel is not None:
-            return "analytic", kernel
-        if method == "analytic":
-            raise MachineConfigError(
-                f"no analytic kernel for ({type(arrangement).__name__}, "
-                f"{type(machine).__name__}); use method='auto' to fall back "
-                "to memoized pricing"
-            )
-        return "memoized", None
-    return method, None
-
-
-def simulate_trace(
+def step_stages(
     local_trace: np.ndarray,
     arrangement: Arrangement,
     machine: MemoryMachineSimulator,
-    *,
-    method: str = "auto",
-    chunk_steps: int = 4096,
-) -> BulkSimulationReport:
-    """Price a raw local address trace under an arrangement on a machine.
+) -> Tuple[np.ndarray, str]:
+    """Pipeline stages of every bulk step, and the price source used.
 
-    ``method`` selects the pricing strategy (see the module docstring); all
-    strategies return identical totals.  ``chunk_steps`` bounds the address
-    matrix working set for the chunked and memoized paths.
+    Returns ``(stages, source)``: ``stages[i]`` is the total stage count of
+    bulk step ``i`` (all ``p/w`` warps summed), exactly
+    ``machine.trace_cost(arrangement.trace_addresses(trace)).step_stages``;
+    ``source`` is ``"analytic"`` when a closed form exists for the
+    ``(arrangement, machine)`` types and ``"memoized"`` otherwise.  Every
+    step dispatches all of its warps, so its time is ``stages[i] + l − 1``.
     """
     if machine.params.p != arrangement.p:
         raise MachineConfigError(
             f"machine has p={machine.params.p} threads but the arrangement "
             f"holds p={arrangement.p} inputs"
         )
-    if chunk_steps < 1:
-        raise MachineConfigError(f"chunk_steps must be >= 1, got {chunk_steps}")
-    trace = np.asarray(local_trace, dtype=np.int64)
-    resolved, kernel = _resolve_method(method, arrangement, machine)
-    if resolved == "analytic":
-        total_time, total_stages = kernel.price_trace(trace)
-    elif resolved == "memoized":
-        total_time, total_stages = _totals_memoized(
-            trace, arrangement, machine, chunk_steps
-        )
-    else:
-        total_time, total_stages = _totals_chunked(
-            trace, arrangement, machine, chunk_steps
-        )
+    trace = arrangement.check_trace(local_trace)
+    uniq, inverse = np.unique(trace, return_inverse=True)
+    kernel = analytic_kernel(arrangement, machine)
+    if kernel is not None:
+        return kernel.stage_table[uniq % kernel.period][inverse], "analytic"
+    prices = np.empty(uniq.size, dtype=np.int64)
+    rows = max(1, _CHUNK_WORDS // arrangement.p)
+    buf = np.empty((min(rows, uniq.size), arrangement.p), dtype=np.int64)
+    for lo in range(0, uniq.size, rows):
+        chunk = arrangement.trace_addresses_into(uniq[lo : lo + rows], buf)
+        prices[lo : lo + rows] = machine.trace_cost(chunk).step_stages
+    return prices[inverse], "memoized"
+
+
+def simulate_trace(
+    local_trace: np.ndarray,
+    arrangement: Arrangement,
+    machine: MemoryMachineSimulator,
+) -> BulkSimulationReport:
+    """Price a raw local address trace under an arrangement on a machine."""
+    stages, source = step_stages(local_trace, arrangement, machine)
+    t = int(stages.size)
+    total_stages = int(stages.sum())
     return BulkSimulationReport(
         machine=machine.params,
         arrangement=arrangement.name,
-        trace_length=int(trace.size),
-        total_time=total_time,
+        trace_length=t,
+        total_time=total_stages + (machine.params.l - 1) * t,
         total_stages=total_stages,
-        theorem3_bound=lower_bound(machine.params, int(trace.size)),
-        method=resolved,
+        theorem3_bound=lower_bound(machine.params, t),
+        method=source,
     )
 
 
@@ -228,9 +158,6 @@ def simulate_bulk(
     program: Program,
     machine: Union[MemoryMachineSimulator, MachineParams],
     arrangement: Union[str, Arrangement] = "column",
-    *,
-    method: str = "auto",
-    chunk_steps: int = 4096,
 ) -> BulkSimulationReport:
     """Simulated UMM running time of ``program`` bulk-executed for ``p`` inputs.
 
@@ -240,22 +167,17 @@ def simulate_bulk(
     """
     sim = UMM(machine) if isinstance(machine, MachineParams) else machine
     arr = make_arrangement(arrangement, program.memory_words, sim.params.p)
-    return simulate_trace(
-        program.address_trace(), arr, sim, method=method, chunk_steps=chunk_steps
-    )
+    return simulate_trace(program.address_trace(), arr, sim)
 
 
 def compare_arrangements(
     program: Program,
     machine: Union[MemoryMachineSimulator, MachineParams],
-    *,
-    method: str = "auto",
-    chunk_steps: int = 4096,
 ) -> CostBreakdown:
     """Row vs column simulated times plus the Theorem 3 bound, in one record."""
     sim = UMM(machine) if isinstance(machine, MachineParams) else machine
-    row = simulate_bulk(program, sim, "row", method=method, chunk_steps=chunk_steps)
-    col = simulate_bulk(program, sim, "column", method=method, chunk_steps=chunk_steps)
+    row = simulate_bulk(program, sim, "row")
+    col = simulate_bulk(program, sim, "column")
     return CostBreakdown(
         params=sim.params,
         t=program.trace_length,

@@ -62,13 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         help="directory to write <name>.txt result files into",
     )
     parser.add_argument(
-        "--method",
-        choices=["auto", "analytic", "memoized", "chunked"],
-        default="auto",
-        help="cost-simulation pricing method (experiments that price traces); "
-        "'chunked' is the O(t*p) reference oracle",
-    )
-    parser.add_argument(
         "--backend",
         choices=["numpy", "native", "auto"],
         default="numpy",
@@ -102,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
             runner = EXPERIMENTS[name]
             kwargs = {"quick": args.quick}
             params = inspect.signature(runner).parameters
-            if "method" in params:
-                kwargs["method"] = args.method
             if "backend" in params:
                 kwargs["backend"] = args.backend
             if "checkpoint" in params:

@@ -402,7 +402,6 @@ def run_model_validation(
     w: int = 32,
     l: int = 100,
     quick: bool = False,
-    method: str = "auto",
 ) -> ExperimentResult:
     """Lemma 1, Theorem 2, Theorem 3 and Corollary 5: simulator vs formulas.
 
@@ -428,8 +427,8 @@ def run_model_validation(
         t = program.trace_length
         for p in p_values:
             params = MachineParams(p=p, w=w, l=l)
-            row = simulate_bulk(program, params, "row", method=method)
-            col = simulate_bulk(program, params, "column", method=method)
+            row = simulate_bulk(program, params, "row")
+            col = simulate_bulk(program, params, "column")
             tab.add_row(
                 [
                     spec.name,
@@ -476,7 +475,6 @@ def run_ablation(
     n: int = 64,
     repeats: int = 3,
     quick: bool = False,
-    method: str = "auto",
 ) -> ExperimentResult:
     """Design-choice ablations: width, latency, DMM vs UMM, IR vs kernels."""
     if quick:
@@ -491,8 +489,8 @@ def run_ablation(
         if p % w:
             continue
         params = MachineParams(p=p, w=w, l=100)
-        col = simulate_bulk(program, params, "column", method=method).total_time
-        row = simulate_bulk(program, params, "row", method=method).total_time
+        col = simulate_bulk(program, params, "column").total_time
+        row = simulate_bulk(program, params, "row").total_time
         wt.add_row([w, col, row, f"{row / col:.2f}"])
     result.tables.append(wt)
 
@@ -500,8 +498,8 @@ def run_ablation(
                ["l", "col time", "row time", "bound"])
     for l in (1, 10, 100, 400):
         params = MachineParams(p=p, w=32, l=l)
-        col = simulate_bulk(program, params, "column", method=method).total_time
-        row = simulate_bulk(program, params, "row", method=method).total_time
+        col = simulate_bulk(program, params, "column").total_time
+        row = simulate_bulk(program, params, "row").total_time
         lt.add_row([l, col, row, lower_bound(params, t)])
     result.tables.append(lt)
 
@@ -514,8 +512,8 @@ def run_ablation(
     dm = Table("abl-dmm: DMM vs UMM time units (prefix-sums n=%d)" % n_odd,
                ["machine", "row-wise", "column-wise"])
     for name, sim in (("UMM", UMM(params)), ("DMM", DMM(params))):
-        rowt = simulate_bulk(prog_odd, sim, "row", method=method).total_time
-        colt = simulate_bulk(prog_odd, sim, "column", method=method).total_time
+        rowt = simulate_bulk(prog_odd, sim, "row").total_time
+        colt = simulate_bulk(prog_odd, sim, "column").total_time
         dm.add_row([name, rowt, colt])
     dm.add_note("row-wise: conflict-free on the DMM (distinct banks) but one "
                 "address group per thread on the UMM")
@@ -574,7 +572,6 @@ def run_grid(
     l: int = 400,
     n: int = 1024,
     quick: bool = False,
-    method: str = "auto",
 ) -> ExperimentResult:
     """Model-level Figure 11/12 shape: the time-shared grid sweep.
 
@@ -605,8 +602,8 @@ def run_grid(
     )
     p = block_size
     while p <= cfg.resident_threads * (4 if quick else 64):
-        col = grid_time_units(program, p, cfg, w, l, "column", method=method)
-        row = grid_time_units(program, p, cfg, w, l, "row", method=method)
+        col = grid_time_units(program, p, cfg, w, l, "column")
+        row = grid_time_units(program, p, cfg, w, l, "row")
         ram = p * t
         tab.add_row(
             [p, cfg.num_rounds(p), col, row, ram, f"{ram / col:.2f}"]

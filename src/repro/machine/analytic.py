@@ -25,11 +25,12 @@ not just *memoizable* — it is a closed form in the machine parameters and
     making ``s`` coprime to ``w`` is conflict-free.
 
 An :class:`AnalyticKernel` captures the resulting stage table (length 1 or
-``w``); pricing a trace of ``t`` steps is then one ``bincount`` over the
-address residues — O(t) work with no per-thread factor at all.  Kernels are
-cross-checked at construction against :meth:`MemoryMachineSimulator.step_cost`
-on one representative address per residue class, so any drift between the
-closed forms and the simulator's accounting raises immediately.
+``w``); pricing a trace of ``t`` steps is then one table lookup per distinct
+address (:func:`repro.bulk.simulate.step_stages`) — no per-thread factor at
+all.  Kernels are cross-checked at construction against
+:meth:`MemoryMachineSimulator.step_cost` on one representative address per
+residue class, so any drift between the closed forms and the simulator's
+accounting raises immediately.
 """
 
 from __future__ import annotations
@@ -93,23 +94,6 @@ class AnalyticKernel:
     def step_time(self, local: int) -> int:
         """Time units of the bulk step at local address ``local``."""
         return self.step_stages(local) + self.params.l - 1
-
-    def price_trace(self, local_trace: np.ndarray) -> Tuple[int, int]:
-        """``(total_time, total_stages)`` of a whole local trace, exactly.
-
-        Each step costs ``stages + l − 1`` time units (every warp is active,
-        so every step dispatches); the total is a residue ``bincount`` away.
-        """
-        a = np.asarray(local_trace, dtype=np.int64)
-        t = int(a.size)
-        if t == 0:
-            return 0, 0
-        if self.period == 1:
-            total_stages = int(self.stage_table[0]) * t
-        else:
-            counts = np.bincount(a % self.period, minlength=self.period)
-            total_stages = int(counts @ self.stage_table)
-        return total_stages + (self.params.l - 1) * t, total_stages
 
 
 def column_wise_stage_table(params: MachineParams) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Bulk cost simulation: Theorem 2 exactness, chunking, Theorem 3 legality."""
+"""Bulk cost simulation: Theorem 2 exactness, chunking, trace validation,
+Theorem 3 legality."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.prefix_sums import build_prefix_sums
-from repro.bulk import ColumnWise, compare_arrangements, simulate_bulk, simulate_trace
-from repro.errors import MachineConfigError
+from repro.bulk import (
+    ColumnWise,
+    PaddedRowWise,
+    RowWise,
+    compare_arrangements,
+    simulate_bulk,
+    simulate_trace,
+)
+from repro.bulk import simulate as simulate_mod
+from repro.errors import ArrangementError, MachineConfigError
 from repro.machine import DMM, UMM, MachineParams
 from repro.machine.cost import column_wise_time, lower_bound, row_wise_time
 
@@ -45,20 +54,56 @@ class TestTheorem2Exactness:
         assert row / col > params.w / 2
 
 
+class SubclassedColumn(ColumnWise):
+    """No closed form is matched for a subclass: distinct-address path."""
+
+
 class TestChunking:
+    """The distinct-address path prices in fixed internal chunks of
+    ``_CHUNK_WORDS // p`` addresses; the chunk boundary never changes a
+    price."""
+
     @pytest.mark.parametrize("chunk", [1, 3, 7, 1000])
-    def test_chunk_size_invariant(self, chunk):
+    def test_chunk_size_invariant(self, chunk, monkeypatch):
         params = MachineParams(p=32, w=8, l=7)
         prog = build_prefix_sums(16)
-        base = simulate_bulk(prog, params, "column", chunk_steps=4096)
-        rep = simulate_bulk(prog, params, "column", chunk_steps=chunk)
-        assert rep.total_time == base.total_time
-        assert rep.total_stages == base.total_stages
+        arr = SubclassedColumn(prog.memory_words, params.p)
+        machine = UMM(params)
+        monkeypatch.setattr(simulate_mod, "_CHUNK_WORDS", chunk * params.p)
+        rep = simulate_bulk(prog, machine, arr)
+        ref = machine.trace_cost(arr.trace_addresses(prog.address_trace()))
+        assert rep.method == "memoized"
+        assert rep.total_time == ref.total_time
+        assert rep.total_stages == ref.total_stages
 
-    def test_invalid_chunk(self):
-        params = MachineParams(p=32, w=8, l=7)
-        with pytest.raises(MachineConfigError):
-            simulate_bulk(build_prefix_sums(4), params, "column", chunk_steps=0)
+
+class TestTraceValidation:
+    """A trace the program could not have produced is refused before any
+    price source is chosen — the closed forms would otherwise price
+    out-of-range or fractional addresses by their residue."""
+
+    @pytest.mark.parametrize(
+        "trace",
+        [[100], [-1, 5], [4], [3.7], [[0, 1]]],
+        ids=["far", "negative", "words", "float", "2-D"],
+    )
+    @pytest.mark.parametrize("machine_cls", [UMM, DMM])
+    def test_rejected_everywhere(self, trace, machine_cls):
+        params = MachineParams(p=8, w=4, l=2)
+        machine = machine_cls(params)
+        for arr in (
+            ColumnWise(words=4, p=8),
+            RowWise(words=4, p=8),
+            PaddedRowWise(words=4, p=8),
+            SubclassedColumn(words=4, p=8),
+        ):
+            with pytest.raises(ArrangementError):
+                simulate_trace(np.array(trace), arr, machine)
+
+    def test_empty_float_trace_costs_nothing(self):
+        params = MachineParams(p=8, w=4, l=2)
+        rep = simulate_trace(np.array([]), ColumnWise(words=4, p=8), UMM(params))
+        assert (rep.total_time, rep.trace_length) == (0, 0)
 
 
 class TestSimulateTrace:

@@ -1,10 +1,14 @@
-"""Pricing-method equivalence: memoized == chunked == analytic == oracle.
+"""One pricing path, checked against the machine's own oracle.
 
-The tentpole property of the memoized cost engine: obliviousness makes a
-bulk step's cost a pure function of its local address, so the three pricing
-strategies (and the warp-by-warp pipeline oracle underneath them) must agree
-*bit for bit* — across machines, arrangements, widths, non-power-of-two
-warp counts, memories not a multiple of ``w``, and masked steps.
+Obliviousness makes a bulk step's cost a pure function of its local
+address, so :func:`~repro.bulk.simulate.step_stages` prices each distinct
+address once — from a closed-form table for the library arrangements, and
+through ``machine.trace_cost`` for anything else.  Both sources must agree
+*bit for bit* with the full ``(t, p)`` matrix priced by
+``machine.trace_cost(arr.trace_addresses(trace))`` and with the warp-by-warp
+pipeline walk (``step_cost_incremental``) — across machines, arrangements,
+widths, non-power-of-two warp counts, memories not a multiple of ``w``, and
+masked steps.
 """
 
 import numpy as np
@@ -14,23 +18,50 @@ from hypothesis import strategies as st
 
 from repro.algorithms.polygon import build_opt
 from repro.algorithms.prefix_sums import build_prefix_sums
+from repro.analysis import analyze_coalescing
 from repro.bulk import (
+    ColumnWise,
     PaddedRowWise,
+    RowWise,
     make_arrangement,
     simulate_bulk,
     simulate_trace,
 )
-from repro.errors import MachineConfigError
+from repro.bulk.simulate import step_stages
 from repro.machine import DMM, UMM, MachineParams
 
 MACHINES = [UMM, DMM]
 
 
-def _arrangements(words, p):
+class SubclassedRow(RowWise):
+    """Same address map as :class:`RowWise`, but no closed form is matched
+    for a subclass, so it is priced on the distinct-address path."""
+
+
+class SubclassedColumn(ColumnWise):
+    """Same address map as :class:`ColumnWise`; distinct-address path."""
+
+
+def _library(words, p):
     yield make_arrangement("row", words, p)
     yield make_arrangement("column", words, p)
     yield PaddedRowWise(words, p, pad=1)
     yield PaddedRowWise(words, p, pad=3)
+
+
+def _arrangements(words, p):
+    yield from _library(words, p)
+    yield SubclassedRow(words, p)
+    yield SubclassedColumn(words, p)
+
+
+def _expected_source(arr):
+    return "memoized" if isinstance(arr, (SubclassedRow, SubclassedColumn)) else "analytic"
+
+
+def _oracle(trace, arr, machine):
+    """The full ``(t, p)`` bulk address matrix, priced step by step."""
+    return machine.trace_cost(arr.trace_addresses(trace))
 
 
 @st.composite
@@ -53,32 +84,20 @@ class TestMethodEquivalence:
     @given(trace_configs())
     @settings(max_examples=60, deadline=None)
     def test_all_methods_bit_identical(self, cfg):
+        """Both price sources equal the full-matrix oracle, step for step."""
         params, words, trace = cfg
         for machine_cls in MACHINES:
             machine = machine_cls(params)
             for arr in _arrangements(words, params.p):
-                reports = {
-                    m: simulate_trace(trace, arr, machine, method=m)
-                    for m in ("chunked", "memoized", "analytic", "auto")
-                }
-                totals = {
-                    m: (r.total_time, r.total_stages) for m, r in reports.items()
-                }
-                assert len(set(totals.values())) == 1, (params, arr, totals)
-                # the library arrangements all have closed forms -> auto=analytic
-                assert reports["auto"].method == "analytic"
-
-    @given(trace_configs(), st.integers(1, 17))
-    @settings(max_examples=30, deadline=None)
-    def test_chunk_size_invariance_survives(self, cfg, chunk):
-        params, words, trace = cfg
-        machine = UMM(params)
-        arr = make_arrangement("row", words, params.p)
-        base = simulate_trace(trace, arr, machine, method="chunked")
-        for m in ("chunked", "memoized"):
-            rep = simulate_trace(trace, arr, machine, method=m, chunk_steps=chunk)
-            assert rep.total_time == base.total_time
-            assert rep.total_stages == base.total_stages
+                oracle = _oracle(trace, arr, machine)
+                stages, source = step_stages(trace, arr, machine)
+                rep = simulate_trace(trace, arr, machine)
+                np.testing.assert_array_equal(stages, oracle.step_stages)
+                assert (rep.total_time, rep.total_stages) == (
+                    oracle.total_time,
+                    oracle.total_stages,
+                ), (params, arr)
+                assert source == rep.method == _expected_source(arr)
 
     @given(trace_configs())
     @settings(max_examples=25, deadline=None)
@@ -88,15 +107,19 @@ class TestMethodEquivalence:
         params, words, trace = cfg
         for machine_cls in MACHINES:
             machine = machine_cls(params)
-            arr = make_arrangement("row", words, params.p)
-            want_time = want_stages = 0
-            for a in trace:
-                step = machine.step_cost_incremental(arr.step_addresses(int(a)))
-                want_time += step.time_units
-                want_stages += step.total_stages
-            rep = simulate_trace(trace, arr, machine, method="memoized")
-            assert rep.total_time == want_time
-            assert rep.total_stages == want_stages
+            for arr in (
+                make_arrangement("row", words, params.p),
+                SubclassedRow(words, params.p),
+            ):
+                walk = [
+                    machine.step_cost_incremental(arr.step_addresses(int(a)))
+                    for a in trace
+                ]
+                stages, _ = step_stages(trace, arr, machine)
+                assert stages.tolist() == [s.total_stages for s in walk]
+                rep = simulate_trace(trace, arr, machine)
+                assert rep.total_time == sum(s.time_units for s in walk)
+                assert rep.total_stages == sum(s.total_stages for s in walk)
 
 
 class TestMaskedSteps:
@@ -129,68 +152,69 @@ class TestMaskedSteps:
 
 
 class TestMethodSelection:
-    def test_unknown_method_rejected(self):
-        params = MachineParams(p=8, w=4, l=2)
-        prog = build_prefix_sums(4)
-        with pytest.raises(MachineConfigError, match="unknown simulation method"):
-            simulate_bulk(prog, params, "column", method="fast")
-
-    def test_analytic_refused_without_kernel(self):
-        class OddColumn(make_arrangement("column", 8, 8).__class__):
-            pass
-
-        params = MachineParams(p=8, w=4, l=2)
-        arr = OddColumn(words=8, p=8)
-        with pytest.raises(MachineConfigError, match="no analytic kernel"):
-            simulate_trace(np.array([0, 1]), arr, UMM(params), method="analytic")
-
     def test_auto_falls_back_to_memoized(self):
-        class OddColumn(make_arrangement("column", 8, 8).__class__):
-            pass
-
+        """A subclass may redefine the address map: no closed form is
+        assumed, and the distinct-address path prices it exactly."""
         params = MachineParams(p=8, w=4, l=2)
-        arr = OddColumn(words=8, p=8)
-        rep = simulate_trace(np.array([0, 1]), arr, UMM(params), method="auto")
+        arr = SubclassedColumn(words=8, p=8)
+        trace = np.array([0, 1, 1, 7])
+        rep = simulate_trace(trace, arr, UMM(params))
         assert rep.method == "memoized"
-        chunked = simulate_trace(np.array([0, 1]), arr, UMM(params), method="chunked")
-        assert rep.total_time == chunked.total_time
+        assert rep.total_time == _oracle(trace, arr, UMM(params)).total_time
 
     def test_report_records_resolved_method(self):
         params = MachineParams(p=8, w=4, l=2)
         prog = build_prefix_sums(4)
-        assert simulate_bulk(prog, params, "row").method == "analytic"
-        assert (
-            simulate_bulk(prog, params, "row", method="memoized").method
-            == "memoized"
+        for arrangement in ("row", "column", "padded-row"):
+            assert simulate_bulk(prog, params, arrangement).method == "analytic"
+            assert simulate_bulk(prog, DMM(params), arrangement).method == "analytic"
+
+
+class TestCoalescingSharesThePath:
+    @given(
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 3, 4]),
+        st.integers(1, 12),
+        st.sampled_from(["prefix-4", "prefix-9", "opt-4"]),
+        st.sampled_from(["column", "row", "padded-row", "subclass"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_step_stages_match_oracle(self, w, warps, l, which, kind):
+        """``analyze_coalescing`` reports the oracle's stages, step for step."""
+        params = MachineParams(p=w * warps, w=w, l=l)
+        name, n = which.split("-")
+        prog = (build_prefix_sums if name == "prefix" else build_opt)(int(n))
+        arr = (
+            SubclassedRow(prog.memory_words, params.p)
+            if kind == "subclass"
+            else make_arrangement(kind, prog.memory_words, params.p)
         )
-        assert (
-            simulate_bulk(prog, params, "row", method="chunked").method == "chunked"
-        )
+        rep = analyze_coalescing(prog, params, arr)
+        oracle = _oracle(prog.address_trace(), arr, UMM(params))
+        np.testing.assert_array_equal(rep.step_stages, oracle.step_stages)
 
 
 class TestFigureConfigurations:
-    """Acceptance guard: method='auto' is bit-identical to the chunked
-    reference on the Figure 11/12 configuration grids (results/fig11.json,
+    """Acceptance guard: the pricing path is bit-identical to the full-matrix
+    oracle on the Figure 11/12 configuration grids (results/fig11.json,
     results/fig12.json use these n × p sweeps with w=32, l=100)."""
+
+    @staticmethod
+    def _check(prog, params):
+        machine = UMM(params)
+        for arrangement in ("row", "column"):
+            rep = simulate_bulk(prog, machine, arrangement)
+            arr = make_arrangement(arrangement, prog.memory_words, params.p)
+            ref = _oracle(prog.address_trace(), arr, machine)
+            assert rep.total_time == ref.total_time
+            assert rep.total_stages == ref.total_stages
 
     @pytest.mark.parametrize("n", [32, 1024])
     @pytest.mark.parametrize("p", [64, 512])
     def test_fig11_prefix_sums_grid(self, n, p):
-        prog = build_prefix_sums(n)
-        params = MachineParams(p=p, w=32, l=100)
-        for arrangement in ("row", "column"):
-            auto = simulate_bulk(prog, params, arrangement, method="auto")
-            ref = simulate_bulk(prog, params, arrangement, method="chunked")
-            assert auto.total_time == ref.total_time
-            assert auto.total_stages == ref.total_stages
+        self._check(build_prefix_sums(n), MachineParams(p=p, w=32, l=100))
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("p", [64, 256])
     def test_fig12_opt_grid(self, n, p):
-        prog = build_opt(n)
-        params = MachineParams(p=p, w=32, l=100)
-        for arrangement in ("row", "column"):
-            auto = simulate_bulk(prog, params, arrangement, method="auto")
-            ref = simulate_bulk(prog, params, arrangement, method="chunked")
-            assert auto.total_time == ref.total_time
-            assert auto.total_stages == ref.total_stages
+        self._check(build_opt(n), MachineParams(p=p, w=32, l=100))

@@ -13,7 +13,7 @@ from repro.analysis import (
     profile_regions,
 )
 from repro.bulk import simulate_bulk
-from repro.errors import MachineConfigError, WorkloadError
+from repro.errors import WorkloadError
 from repro.machine import MachineParams
 
 P = MachineParams(p=64, w=8, l=5)
@@ -55,16 +55,6 @@ class TestCoalescing:
     def test_summary_mentions_arrangement(self):
         rep = analyze_coalescing(build_prefix_sums(8), P, "row")
         assert "row-wise" in rep.summary()
-
-    def test_chunking_invariant(self):
-        prog = build_opt(6)
-        a = analyze_coalescing(prog, P, "column", chunk_steps=3)
-        b = analyze_coalescing(prog, P, "column", chunk_steps=4096)
-        np.testing.assert_array_equal(a.step_stages, b.step_stages)
-
-    def test_invalid_chunk(self):
-        with pytest.raises(MachineConfigError):
-            analyze_coalescing(build_prefix_sums(4), P, chunk_steps=0)
 
 
 class TestRegionProfile:

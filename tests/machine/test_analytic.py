@@ -5,7 +5,9 @@ from math import gcd
 import numpy as np
 import pytest
 
+from repro.bulk import simulate_trace
 from repro.bulk.arrangement import ColumnWise, PaddedRowWise, RowWise
+from repro.bulk.simulate import step_stages
 from repro.errors import MachineConfigError
 from repro.machine import DMM, HMM, UMM, HMMParams, MachineParams
 from repro.machine.analytic import (
@@ -127,10 +129,14 @@ class TestSelection:
 
 
 class TestPriceTrace:
+    """The closed forms as the pricing path uses them (``step_stages``)."""
+
     def test_empty_trace(self):
         params = MachineParams(p=8, w=4, l=5)
-        kernel = analytic_kernel(ColumnWise(words=4, p=8), UMM(params))
-        assert kernel.price_trace(np.array([], dtype=np.int64)) == (0, 0)
+        stages, source = step_stages(
+            np.array([], dtype=np.int64), ColumnWise(words=4, p=8), UMM(params)
+        )
+        assert (stages.size, source) == (0, "analytic")
 
     def test_totals_are_sums_of_step_costs(self):
         params = MachineParams(p=16, w=4, l=6)
@@ -139,9 +145,11 @@ class TestPriceTrace:
         kernel = analytic_kernel(arr, machine)
         rng = np.random.default_rng(7)
         trace = rng.integers(0, 11, size=200)
-        total_time, total_stages = kernel.price_trace(trace)
-        assert total_time == sum(kernel.step_time(a) for a in trace)
-        assert total_stages == sum(kernel.step_stages(a) for a in trace)
+        stages, source = step_stages(trace, arr, machine)
+        assert source == "analytic"
+        assert stages.tolist() == [kernel.step_stages(a) for a in trace]
+        rep = simulate_trace(trace, arr, machine)
+        assert rep.total_time == sum(kernel.step_time(a) for a in trace)
 
     def test_is_dataclass_with_table(self):
         params = MachineParams(p=8, w=4, l=2)
