@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,15 +192,24 @@ class SymbolicState:
         return self.memory.get(addr, vn.initial(addr))
 
 
-def symbolic_state(program: Program, vn: ValueNumbering) -> SymbolicState:
-    """Abstractly execute ``program`` to its final symbolic state."""
+def symbolic_state(
+    program: Program,
+    vn: ValueNumbering,
+    initial: Optional[Callable[[int], int]] = None,
+) -> SymbolicState:
+    """Abstractly execute ``program`` to its final symbolic state.
+
+    ``initial(addr)`` is the value number a cell holds before its first
+    store (default :meth:`ValueNumbering.initial`)."""
+    if initial is None:
+        initial = vn.initial
     zero = vn.const(0)
     regs = [zero] * program.num_registers
     memory: Dict[int, int] = {}
     trace: List[Tuple[str, int]] = []
     for instr in program.instructions:
         if isinstance(instr, Load):
-            regs[instr.rd] = memory.get(instr.addr, vn.initial(instr.addr))
+            regs[instr.rd] = memory.get(instr.addr, initial(instr.addr))
             trace.append(("R", instr.addr))
         elif isinstance(instr, Store):
             memory[instr.addr] = regs[instr.rs]
@@ -268,6 +277,8 @@ def prove_equivalent(
     require_same_trace: bool = False,
     raise_on_mismatch: bool = True,
     zero_from: Optional[int] = None,
+    initial_map: Optional[Sequence[int]] = None,
+    output_map: Optional[Sequence[int]] = None,
 ) -> EquivalenceProof:
     """Prove ``candidate`` computes the same final memory as ``reference``.
 
@@ -284,14 +295,24 @@ def prove_equivalent(
     autofix verifier does) get strictly more proofs — e.g. a load of
     never-written scratch rewritten to ``Const 0`` — without ever admitting
     one that could differ on a real engine.
+
+    ``initial_map`` and ``output_map`` prove a *renaming* of the memory
+    (the compaction of :mod:`repro.trace.compact`).  Candidate cell
+    ``s < len(initial_map)`` starts as reference cell ``initial_map[s]``
+    and every other candidate cell starts as zero (the kernel's fill).
+    Only the reference's declared output words are compared, the ``i``-th
+    of them (:meth:`~repro.trace.ir.Program.output_index`) against
+    candidate cell ``output_map[i]``; a mismatch names the reference
+    word.  The memory sizes may then differ.
     """
+    renamed = initial_map is not None or output_map is not None
     if reference.dtype != candidate.dtype:
         raise EquivalenceError(
             f"programs disagree on dtype: {reference.dtype} vs "
             f"{candidate.dtype}",
             kind="structure",
         )
-    if reference.memory_words != candidate.memory_words:
+    if not renamed and reference.memory_words != candidate.memory_words:
         raise EquivalenceError(
             f"programs disagree on memory size: {reference.memory_words} vs "
             f"{candidate.memory_words} words",
@@ -299,13 +320,33 @@ def prove_equivalent(
         )
     vn = ValueNumbering(reference.dtype, zero_from=zero_from)
     ref_state = symbolic_state(reference, vn)
-    cand_state = symbolic_state(candidate, vn)
+    if initial_map is None:
+        cand_initial = vn.initial
+    else:
+        zero = vn.const(0)
+        sources = [int(a) for a in initial_map]
 
-    touched = sorted(set(ref_state.memory) | set(cand_state.memory))
+        def cand_initial(slot: int) -> int:
+            return vn.initial(sources[slot]) if slot < len(sources) else zero
+
+    cand_state = symbolic_state(candidate, vn, cand_initial)
+
+    if output_map is None:
+        touched = sorted(set(ref_state.memory) | set(cand_state.memory))
+        pairs = [(addr, addr) for addr in touched]
+    else:
+        words = reference.output_index().tolist()
+        if len(output_map) != len(words):
+            raise EquivalenceError(
+                f"the output map names {len(output_map)} cell(s) for "
+                f"{reference.name!r}'s {len(words)} declared word(s)",
+                kind="structure",
+            )
+        pairs = list(zip(words, (int(s) for s in output_map)))
     mismatches: List[Tuple[int, str, str]] = []
-    for addr in touched:
+    for addr, cell in pairs:
         want = ref_state.final_cell(vn, addr)
-        got = cand_state.final_cell(vn, addr)
+        got = cand_state.memory.get(cell, cand_initial(cell))
         if want != got:
             mismatches.append((addr, vn.describe(want), vn.describe(got)))
     trace_equal = ref_state.trace == cand_state.trace
@@ -313,7 +354,7 @@ def prove_equivalent(
     proof = EquivalenceProof(
         equivalent=not mismatches,
         trace_equal=trace_equal,
-        checked_cells=len(touched),
+        checked_cells=len(pairs),
         mismatches=tuple(mismatches),
         reference=reference.name,
         candidate=candidate.name,

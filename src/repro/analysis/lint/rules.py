@@ -214,8 +214,9 @@ _CATALOG: Tuple[Rule, ...] = (
         "the spill slab intact.  A finding means some step of that proof "
         "failed — a dropped or duplicated instruction at a chunk boundary, "
         "a reordered chunk call, a spilled register lost across chunks, a "
-        "mis-zeroed register slab, a slab whose words [k, WORDS) or absent "
-        "ragged-tile lanes are not zeroed before the chunks run, a gather "
+        "mis-zeroed register slab, a slab whose slots [r, WORDS) or absent "
+        "ragged-tile lanes are not zeroed before the chunks run, a wrong "
+        "count r of the slots the k input words feed, a gather "
         "or scatter that misses words or runs on the wrong side of the "
         "chunks, a kernel-frame line carrying one of these obligations "
         "missing, changed or compiled only under an #if the frame does not "
@@ -244,12 +245,14 @@ _CATALOG: Tuple[Rule, ...] = (
         "OBL-S703", "address-map-divergence", Severity.ERROR,
         "an emitted index diverges from the arrangement's address map",
         "The native kernel moves data through a tile-private slab whose "
-        "address map is the arrangement's map restricted to one tile: word "
+        "address map is the arrangement's map restricted to one tile: slot "
         "a of tile lane jj lives at a*TILE + jj (column) or jj*STRIDE + a "
         "(row, with STRIDE at least the word count so the map is injective). "
-        "Every chunk access, the gather of input word a of lane j0 + jj, "
-        "and the scatter to output row j0 + jj must use exactly those maps, "
-        "with P, WORDS, STRIDE and SLAB equal to the geometry the engine "
+        "Every chunk access, the gather of input word IMAP[a] of lane "
+        "j0 + jj into slot a, and the scatter to output row j0 + jj must "
+        "use exactly those maps, with IMAP the compaction's increasing "
+        "(injective) input map and P, WORDS, STRIDE, SLAB and NREAD equal "
+        "to the geometry the engine "
         "allocates — as the preprocessor sees them, so a redefined, "
         "#undef'd or shadowed constant counts.  A finding means lanes "
         "alias, a lane reads another "

@@ -76,6 +76,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import ProgramError
+from ..trace.compact import compact_memory
 from ..trace.ir import Binary, Const, Load, Program, Select, Store, Unary
 from .lint.diagnostics import Diagnostic, Severity
 from .lint.equiv import ValueNumbering
@@ -95,8 +96,9 @@ __all__ = [
 
 #: Default certification grid — one entry per candidate tile size the
 #: autotuner measures (kept in sync with ``bulk.autotune._DEFAULT_TILES``
-#: by a test; slab-sized tiles: the slab is ``memory_words x tile``
-#: words) crossed with a single- and a multi-thread configuration.
+#: by a test; slab-sized tiles: the slab is ``WORDS x tile`` words,
+#: ``WORDS`` the compaction's width) crossed with a single- and a
+#: multi-thread configuration.
 #: The race proof is thread-count-free (any static partition of disjoint
 #: tiles is safe), so certifying one ``threads > 1`` point per tile
 #: covers the whole thread axis; the grid still includes both so a
@@ -127,16 +129,19 @@ class ScheduleConfig:
 
     layout: str  # "column" | "row"
     p: int
-    words: int
+    words: int  # slab lane width: the compaction's slots
     tile: int
     chunk: int
     threads: int
     stride: int  # row stride (0 for the column layout)
-    outputs: Tuple[Tuple[int, int], ...]  # the program's output_ranges
+    outputs: Tuple[Tuple[int, int], ...]  # runs of output slots, column order
+    imap: Tuple[int, ...]  # source word of each read-first slot
+    memory_words: int  # the source program's words: IMAP's sentinel
 
     @property
     def out_words(self) -> int:
-        """Width of the output image's rows: the declared words."""
+        """Width of the output image's rows: the declared words (each run
+        of :attr:`outputs` fills the columns after the runs before it)."""
         return sum(hi - lo for lo, hi in self.outputs)
 
     @property
@@ -158,7 +163,8 @@ class ScheduleConfig:
             program,
             self.layout,
             p=self.p,
-            stride=self.stride,
+            # the arrangement's stride: the compaction keeps its padding
+            stride=self.stride and self.stride + self.memory_words - self.words,
             chunk=self.chunk,
             tile=self.tile,
             threads=self.threads,
@@ -182,6 +188,11 @@ def schedule_config(
     is a resource limit the engine enforces, not a property of the
     schedule).  A toolchain without OpenMP compiles the ``threads=1``
     config instead, which the default grid certifies too.
+
+    The geometry is the program's compaction
+    (:func:`repro.trace.compact.compact_memory`): ``words`` is its slot
+    count, a row stride keeps the arrangement's padding over it, and
+    ``outputs`` are the runs of its output slots.
     """
     from ..codegen.compile import BULK_DEFAULT_CHUNK, default_tile
 
@@ -197,15 +208,20 @@ def schedule_config(
         raise ProgramError(f"no native bulk kernel for arrangement {name!r}")
     if tile is None:
         tile = default_tile(program, arrangement)
+    compaction = compact_memory(program, verify=False)
+    if layout == "row":
+        stride = int(stride) + compaction.width - program.memory_words
     return ScheduleConfig(
         layout=layout,
         p=int(arrangement.p),
-        words=program.memory_words,
+        words=compaction.width,
         tile=int(tile),
         chunk=int(chunk),
         threads=max(1, int(threads)),
         stride=int(stride),
-        outputs=program.output_ranges,
+        outputs=compaction.out_runs,
+        imap=compaction.imap,
+        memory_words=program.memory_words,
     )
 
 
@@ -273,6 +289,7 @@ _MACRO_RULES = {
     "TILE": ("OBL-S701", "tile size"),
     "NREGS": ("OBL-S701", "register count"),
     "THREADS": ("OBL-S701", "thread count"),
+    "NREAD": ("OBL-S703", "read-first slot count (the input map's length)"),
 }
 _DEFINE_RE = re.compile(r"^#define (\w+) (-?\d+)L?\b")
 _HEADER_RE = re.compile(
@@ -352,7 +369,9 @@ _LANE_HINTS = {
 #: ``a`` of a declared range is ``a`` less the range's shift (its start
 #: less the widths before it).
 _SLAB_INDEX = {"column": "a * TILE + jj", "row": "jj * STRIDE + a"}
-_OUT_INDEX = re.compile(r"^\(j0 \+ jj\) \* OUT_WORDS \+ a(?: - (\d+))?$")
+_OUT_INDEX = re.compile(r"^\(j0 \+ jj\) \* OUT_WORDS \+ a(?: ([-+]) (\d+))?$")
+_IMAP_LINE = re.compile(r"^static const long IMAP\[NREAD \+ 1\] = \{(.*)\};$")
+_IMAP_WHAT = "the input map IMAP (sentinel last)"
 _SCATTER_WHAT = "the output scatter"
 _OUTSIDE = ("writes the output image outside the streamed scatter — every "
             "output word must be written once, through stream_word, before "
@@ -379,7 +398,14 @@ def _macro_values(config: ScheduleConfig, nregs: int) -> Dict[str, int]:
         "P": config.p, "WORDS": config.words, "OUT_WORDS": config.out_words,
         "STRIDE": config.stride, "TILE": config.tile,
         "SLAB": config.slab_words, "NREGS": nregs, "THREADS": config.threads,
+        "NREAD": len(config.imap),
     }
+
+
+def _shifted(shift: int) -> str:
+    if shift > 0:
+        return f"a - {shift}"
+    return f"a + {-shift}" if shift else "a"
 
 
 def _render_frame(
@@ -399,9 +425,12 @@ def _render_frame(
         "STRIDE": "L  /* slab lane stride of row layouts */",
         "TILE": "L",
         "SLAB": "L  /* words of the tile-private slab */",
+        "NREAD": "L  /* read-first slots: [0, NREAD) start as input words "
+                 "IMAP */",
     }
     pragma = "the OpenMP work-sharing pragma governing the tile loop"
-    zero_fill = "the zero fill of slab words [k, WORDS)"
+    zero_fill = "the zero fill of slab slots [r, WORDS)"
+    prefix = "the count r of read-first slots the k input words feed"
 
     def rows(rule: str, what: str, *texts: str) -> List[_Line]:
         return [_Line(text, rule, what) for text in texts]
@@ -416,6 +445,9 @@ def _render_frame(
         _Line(f"#define {name} {value}{tails.get(name, '')}", *_MACRO_RULES[name])
         for name, value in _macro_values(c, nregs).items()
     ]
+    entries = ", ".join(str(a) for a in (*c.imap, c.memory_words))
+    frame += rows("OBL-S703", _IMAP_WHAT,
+                  f"static const long IMAP[NREAD + 1] = {{{entries}}};")
     frame += rows("OBL-S701", "the LANE_HINT definition", *_LANE_HINTS[hinted], "")
     for ci in range(n_chunks):
         frame += rows(
@@ -432,6 +464,9 @@ def _render_frame(
         ("OBL-S701", "the kernel signature",
          f"void {_KERNEL}(const {ctype} *restrict in, long k, "
          f"{ctype} *restrict out) {{"),
+        ("OBL-S701", prefix,
+         "    long r = 0;  /* read-first slots [0, r) gather input words */"),
+        ("OBL-S701", prefix, "    while (IMAP[r] < k) ++r;"),
         ("OBL-S702", pragma, "#if defined(_OPENMP) && (THREADS > 1)"),
         ("OBL-S702", pragma,
          "#pragma omp parallel for schedule(static) num_threads(THREADS)"),
@@ -447,13 +482,13 @@ def _render_frame(
          "        for (long i = 0; i < NREGS * TILE; ++i) regs[i] = 0;"),
         ("OBL-S701", "the ragged tile's zero fill before the gather",
          "        if (len < TILE) for (long i = 0; i < SLAB; ++i) slab[i] = 0;"),
-        ("OBL-S701", "the input gather's words [0, k)",
-         "        for (long a = 0; a < k; ++a)"),
+        ("OBL-S701", "the input gather's slots [0, r)",
+         "        for (long a = 0; a < r; ++a)"),
         ("OBL-S702", "the input gather's lanes [0, len)",
          "            for (long jj = 0; jj < len; ++jj)"),
-        ("OBL-S703", "the input gather's address map",
-         f"                slab[{at}] = in[(j0 + jj) * k + a];"),
-        ("OBL-S701", zero_fill, "        for (long a = k; a < WORDS; ++a)"),
+        ("OBL-S703", "the input gather's address map through IMAP",
+         f"                slab[{at}] = in[(j0 + jj) * k + IMAP[a]];"),
+        ("OBL-S701", zero_fill, "        for (long a = r; a < WORDS; ++a)"),
         ("OBL-S701", zero_fill, "            for (long jj = 0; jj < TILE; ++jj)"),
         ("OBL-S701", zero_fill, f"                slab[{at}] = 0;"),
     )]
@@ -462,15 +497,14 @@ def _render_frame(
               "the chunk calls, in program order")
         for ci in range(n_chunks)
     ]
-    column = 0  # output column of each range's first word
+    column = 0  # output column of each run's first slot
     for lo, hi in c.outputs:
-        index = f"a - {lo - column}" if lo != column else "a"
         frame += rows(
             "OBL-S701", _SCATTER_WHAT,
             "        for (long jj = 0; jj < len; ++jj)",
             f"            for (long a = {lo}; a < {hi}; ++a)",
             f"                stream_word(&out[(j0 + jj) * OUT_WORDS + "
-            f"{index}], slab[{at}]);",
+            f"{_shifted(lo - column)}], slab[{at}]);",
         )
         column += hi - lo
     frame += rows("OBL-S702", "the STREAM_FENCE() after the streamed scatter",
@@ -587,13 +621,15 @@ def _certify_scatter(
 ) -> None:
     """The output scatter: one nest per declared range, in range order,
     each over ``jj ∈ [0, len)`` × ``a ∈ [lo, hi)`` streaming the slab's
-    word ``a`` of lane ``jj`` to column ``a - shift`` of output row
-    ``j0 + jj``.  The frame places the nests after the last chunk call and
-    before the fence; here they are accounted word by word against the
-    declared ranges: a declared word no nest writes is ``OBL-S701``; a
-    word written that is not declared, or written twice, is ``OBL-S702``;
-    a word streamed to another column, or a slab word outside ``[0,
-    WORDS)``, is ``OBL-S703``; nests out of range order are ``OBL-S701``.
+    slot ``a`` of lane ``jj`` to column ``a - shift`` of output row
+    ``j0 + jj``.  The ranges are the runs of output slots
+    (``config.outputs``, in column order).  The frame places the nests
+    after the last chunk call and before the fence; here they are
+    accounted slot by slot against the runs: an output slot no nest
+    writes is ``OBL-S701``; a slot written that is no output's, or written
+    twice, is ``OBL-S702``; a slot streamed to another column, or a slot
+    outside ``[0, WORDS)``, is ``OBL-S703``; nests out of column order
+    are ``OBL-S701``.
     """
     what = _SCATTER_WHAT
     slab_at = _SLAB_INDEX[config.layout]
@@ -656,22 +692,23 @@ def _certify_scatter(
                              f"'(j0 + jj) * OUT_WORDS + a - shift'")
             continue
         if lo < 0 or hi > config.words:
-            fail("OBL-S703", f"{what} streams slab words [{lo}, {hi}), "
+            fail("OBL-S703", f"{what} streams slab slots [{lo}, {hi}), "
                              f"outside a lane's [0, {config.words})")
             continue
-        shift = int(out_map.group(1) or 0)
+        sign, amount = out_map.groups()
+        shift = -int(amount) if sign == "+" else int(amount or 0)
         span = np.arange(lo, hi)
         cols = column[lo:hi]
         undeclared = span[cols < 0]
         if undeclared.size:
-            fail("OBL-S702", f"{what} writes undeclared word(s) "
-                             f"{_words(undeclared)} — only the program's "
-                             f"declared outputs {list(config.outputs)} may "
-                             f"reach the image")
+            fail("OBL-S702", f"{what} writes undeclared slot(s) "
+                             f"{_words(undeclared)} — only the slots of the "
+                             f"program's declared outputs "
+                             f"{list(config.outputs)} may reach the image")
         moved = span[(cols >= 0) & (cols != span - shift)]
         if moved.size:
             a = int(moved[0])
-            fail("OBL-S703", f"{what} streams word {a} to column "
+            fail("OBL-S703", f"{what} streams slot {a} to column "
                              f"{a - shift}, but its declared column is "
                              f"{int(column[a])}")
         writes[lo:hi] += 1
@@ -680,17 +717,19 @@ def _certify_scatter(
         fail("OBL-S701", f"no nest for {what} — the kernel returns nothing")
     repeated = np.flatnonzero(writes > 1)
     if repeated.size:
-        fail("OBL-S702", f"{what} streams word(s) {_words(repeated)} more "
+        fail("OBL-S702", f"{what} streams slot(s) {_words(repeated)} more "
                          f"than once — overlapping scatter ranges")
     declared = np.flatnonzero(column >= 0)
     missing = declared[writes[declared] == 0]
     if nests and missing.size:
-        fail("OBL-S701", f"{what} drops declared output word(s) "
+        fail("OBL-S701", f"{what} drops declared output slot(s) "
                          f"{_words(missing)} — the image's columns for them "
                          f"are never written")
-    if starts != sorted(starts):
-        fail("OBL-S701", f"{what} nests start at words {starts}, not in the "
-                         f"declared range order {list(config.outputs)}")
+    first_columns = [int(column[lo]) for lo in starts]
+    if first_columns != sorted(first_columns):
+        fail("OBL-S701", f"{what} nests start at slots {starts}, not in the "
+                         f"declared range order — the runs "
+                         f"{list(config.outputs)} in output-column order")
 
 
 def _certify_preamble(head: Sequence[str], ctype: str, fail) -> None:
@@ -721,6 +760,36 @@ def _certify_preamble(head: Sequence[str], ctype: str, fail) -> None:
                    f"header — {reason}")
 
 
+def _imap_problems(entries: str, config: ScheduleConfig) -> List[str]:
+    """Why an ``IMAP`` table's ``entries`` are not the request's input map
+    and sentinel: the gather's lemma needs an increasing (hence injective)
+    map into the source words, closed by ``memory_words``."""
+    want = [*config.imap, config.memory_words]
+    try:
+        got = [int(e) for e in entries.split(",")]
+    except ValueError:
+        return [f"{_IMAP_WHAT} {entries!r} is not a list of word addresses"]
+    problems = []
+    repeats = sorted({a for a in got if got.count(a) > 1})
+    if repeats:
+        problems.append(
+            f"{_IMAP_WHAT} is not injective — slots share source word(s) "
+            f"{repeats}, so one input word would feed two slots and another "
+            f"none")
+    if len(got) != len(want):
+        problems.append(
+            f"{_IMAP_WHAT} has {len(got)} entries but the compaction gathers "
+            f"{len(want) - 1} slot(s) plus the sentinel")
+    else:
+        moved = [(s, g, w) for s, (g, w) in enumerate(zip(got, want)) if g != w]
+        if moved and not repeats:
+            s, g, w = moved[0]
+            problems.append(
+                f"{_IMAP_WHAT} feeds slot {s} from source word {g}, but the "
+                f"compaction's input map has {w} there")
+    return problems or [f"{_IMAP_WHAT} is not the frame's text"]
+
+
 def _frame_change(
     line: _Line, text: str, lineno: int, config: ScheduleConfig,
     values: Dict[str, int],
@@ -745,6 +814,10 @@ def _frame_change(
                                               f"the request was {key}={want}"))
             if found:
                 return found
+    imap = _IMAP_LINE.match(text)
+    if line.what == _IMAP_WHAT and imap is not None:
+        return [(line.rule, f"line {lineno}: {problem}")
+                for problem in _imap_problems(imap.group(1), config)]
     define = _DEFINE_RE.match(text)
     if define and define.group(1) in values and line.text.startswith(
         f"#define {define.group(1)} "
@@ -1258,12 +1331,25 @@ def certify_bulk_schedule(
         return out, certs, None
 
     # 2. The lemma's hypotheses on the request: a positive lane count and
-    #    tile, and a row stride that keeps slab lanes apart.
+    #    tile, a row stride that keeps slab lanes apart, and the geometry
+    #    of the program's compaction, whose input map is increasing inside
+    #    [0, memory_words) and at most WORDS long by construction (its
+    #    renaming is proven at build time by the equivalence prover; the
+    #    bodies are replayed against it).
     if c.p < 1 or c.tile < 1:
         fail("OBL-S701", f"P={c.p} and TILE={c.tile} must both be positive")
     if c.layout == "row" and c.stride < c.words:
         fail("OBL-S703", f"row stride {c.stride} is smaller than the "
                          f"program's {c.words} words — slab lanes overlap")
+    compaction = compact_memory(program, verify=False)
+    geometry = dict(words=compaction.width, imap=compaction.imap,
+                    outputs=compaction.out_runs,
+                    memory_words=program.memory_words)
+    for key, want in geometry.items():
+        if getattr(c, key) != want:
+            fail("OBL-S703", f"the request's {key} is not the geometry of "
+                             f"the program's compaction — the kernel would "
+                             f"run a different renaming than the one proven")
 
     # 3. The frame: the preamble's pinned helpers, then every line from the
     #    schedule header on.
@@ -1294,11 +1380,13 @@ def certify_bulk_schedule(
         )
         certs.append(
             f"{label}: gather/scatter commute with the address map — each "
-            f"tile gathers input word a of lane j0+jj into its private slab "
-            f"at the layout's map, zero-fills words [k, WORDS) and absent "
-            f"lanes, and streams each of its own lanes' {c.out_words} "
-            f"declared output word(s) once, to its column of output row "
-            f"j0+jj, through the pinned stream_word, then fences"
+            f"tile gathers input word IMAP[s] of lane j0+jj into slot s of "
+            f"its private slab at the layout's map, for the r of "
+            f"{len(c.imap)} increasing IMAP entries below k, zero-fills "
+            f"slots [r, WORDS) and absent lanes, and streams each of its own "
+            f"lanes' {c.out_words} declared output word(s) once, from its "
+            f"slot to its column of output row j0+jj, through the pinned "
+            f"stream_word, then fences"
         )
         certs.append(
             f"{label}: race freedom — {tiles} tile(s) partition lanes "
@@ -1315,7 +1403,9 @@ def certify_bulk_schedule(
     elided = sloads = ssaves = 0
     chunks = {ci: _parse_body(bodies.get(ci, ())) for ci in range(n_chunks)}
     try:
-        elided, sloads, ssaves = _replay_lane(program, chunks, c, label)
+        elided, sloads, ssaves = _replay_lane(
+            compaction.program, chunks, c, label
+        )
         walk_ok = True
     except _WalkFailure as failure:
         out.append(failure.diagnostic)

@@ -126,8 +126,8 @@ def best_arrangement_measured(
 # -- native kernel autotuning (tile × threads) ------------------------------
 
 _TUNING_FORMAT = "repro-autotune"
-#: Version 2: ``tile`` sizes a per-tile stack slab (``memory_words x tile``
-#: words).  Version-1 entries sized lane blocks of an arranged buffer
+#: Version 2: ``tile`` sizes a per-tile stack slab (compact width x
+#: ``tile`` words).  Version-1 entries sized lane blocks of an arranged buffer
 #: (128-512 lanes) and would now overflow the slab budget, so they load as
 #: stale.
 _TUNING_VERSION = 2

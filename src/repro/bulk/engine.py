@@ -48,7 +48,8 @@ from ..reliability import faults
 from ..reliability.guard import GuardPolicy
 from ..reliability.incidents import record_incident
 from ..reliability.quarantine import quarantine_key
-from ..trace.ir import Load, Program, Store
+from ..trace.compact import word_liveness
+from ..trace.ir import Program
 from ..trace.replay import replay_lanes
 from . import arena
 from .arrangement import Arrangement, make_arrangement
@@ -76,28 +77,6 @@ def _env_knob(name: str) -> Optional[int]:
     if value < 1:
         raise ExecutionError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _unzeroed_words(program: Program) -> frozenset:
-    """Local addresses ``load()`` need not zero: no lane can observe them.
-
-    A word whose *first* memory access is a ``Store`` is overwritten (for
-    every lane — stores are unconditional in the IR) before any load sees
-    it.  A word no instruction accesses is never read either, and unless
-    it is a declared output no image shows it.  Only words loaded before
-    they are stored, and declared outputs the program never stores,
-    start from zero.  A program that declares no outputs declares every
-    word, so its untouched words are still zeroed.
-    """
-    first: dict = {}
-    for instr in program.instructions:
-        if isinstance(instr, (Load, Store)):
-            first.setdefault(instr.addr, isinstance(instr, Store))
-    declared = set(program.output_index().tolist())
-    return frozenset(
-        addr for addr in range(program.memory_words)
-        if first.get(addr, addr not in declared)
-    )
 
 
 def resolve_backend(
@@ -186,7 +165,8 @@ class BulkExecutor:
     tile:
         Native backend: lanes per tile of the compiled kernel, i.e. the
         width of the tile-private stack slab each tile gathers its inputs
-        into (``memory_words x tile`` words).  ``None`` (default) falls
+        into (compact width x ``tile`` words: the slots the program keeps
+        live, see :mod:`repro.trace.compact`).  ``None`` (default) falls
         back to ``REPRO_NATIVE_TILE``, then to the persisted autotuner
         choice for this ``(program, p, layout)``, then to the library
         default.  Any tile — including non-divisors of ``p`` — is
@@ -238,7 +218,6 @@ class BulkExecutor:
         if self.threads is not None and self.threads < 1:
             raise ExecutionError(f"threads must be >= 1, got {self.threads}")
         self.rounds = 0
-        self._unzeroed = _unzeroed_words(program)
         self._zero_ranges_cache: dict = {}
         self._native = None
         self._fused = None
@@ -355,21 +334,16 @@ class BulkExecutor:
         )
 
     def _tail_zero_ranges(self, k: int) -> list:
-        """Half-open ranges of ``[k, memory_words)`` that must be zeroed —
-        everything except the words no lane observes (:func:`_unzeroed_words`)."""
+        """Half-open ranges of ``[k, memory_words)`` that must be zeroed:
+        the words whose initial zero a lane observes — loaded before any
+        store, or declared outputs nothing stores
+        (:meth:`~repro.trace.compact.WordLiveness.zero_ranges`).  A word
+        stored first is overwritten for every lane before any load sees
+        it, and a word nothing touches and no output declares is never
+        seen."""
         ranges = self._zero_ranges_cache.get(k)
         if ranges is None:
-            ranges = []
-            start = None
-            for addr in range(k, self.program.memory_words):
-                if addr in self._unzeroed:
-                    if start is not None:
-                        ranges.append((start, addr))
-                        start = None
-                elif start is None:
-                    start = addr
-            if start is not None:
-                ranges.append((start, self.program.memory_words))
+            ranges = word_liveness(self.program).zero_ranges(k)
             self._zero_ranges_cache[k] = ranges
         return ranges
 

@@ -472,24 +472,38 @@ _SLAB_MAPS = {
 }
 
 
-def _tile_driver(ctype: str, layout: str, n_chunks: int, ranges) -> List[str]:
+def _shifted(shift: int) -> str:
+    """The output column of slot ``a`` in a scatter run shifted by
+    ``shift`` (the run's first slot less its first column)."""
+    if shift > 0:
+        return f"a - {shift}"
+    return f"a + {-shift}" if shift else "a"
+
+
+def _tile_driver(ctype: str, layout: str, n_chunks: int, runs) -> List[str]:
     """The fused gather → compute → scatter loop over lane tiles.
 
-    Each tile owns two stack arrays: the data slab ``slab[SLAB]`` (the
-    tile's shared memory in the DMM sense) and the register slab.  The
-    tile gathers its lanes' ``k`` input words from the row-major ``(P, k)``
-    input matrix, zero-fills words ``[k, WORDS)`` (and every word of the
-    lanes a ragged last tile lacks), runs the chunks, and scatters the
-    declared output words (``ranges``) of its real lanes into the
-    row-major ``(P, OUT_WORDS)`` output image through ``stream_word``
-    (:data:`_STREAM_HELPERS`), one loop nest per range, then fences.  The
-    tile loop is the OpenMP work-sharing loop; without ``-fopenmp`` the
-    pragma is not compiled and the identical code runs single-threaded.
+    The kernel first counts the read-first slots its ``k`` input words
+    feed, ``r = #{s : IMAP[s] < k}`` (``IMAP`` is increasing, so they are
+    slots ``[0, r)``).  Each tile owns two stack arrays: the data slab
+    ``slab[SLAB]`` (the tile's shared memory in the DMM sense) and the
+    register slab.  The tile gathers slot ``s < r`` of each lane from
+    input word ``IMAP[s]`` of the row-major ``(P, k)`` input matrix,
+    zero-fills slots ``[r, WORDS)`` (and every slot of the lanes a ragged
+    last tile lacks), runs the chunks, and scatters the declared output
+    words of its real lanes into the row-major ``(P, OUT_WORDS)`` output
+    image through ``stream_word`` (:data:`_STREAM_HELPERS`), one loop nest
+    per run of consecutive output slots (``runs``, in column order), then
+    fences.  The tile loop is the OpenMP work-sharing loop; without
+    ``-fopenmp`` the pragma is not compiled and the identical code runs
+    single-threaded.
     """
     at = _SLAB_MAPS[layout].format(a="a", jj="jj")
     lines = [
         f"void {BULK_KERNEL_SYMBOL}(const {ctype} *restrict in, long k, "
         f"{ctype} *restrict out) {{",
+        "    long r = 0;  /* read-first slots [0, r) gather input words */",
+        "    while (IMAP[r] < k) ++r;",
         "#if defined(_OPENMP) && (THREADS > 1)",
         "#pragma omp parallel for schedule(static) num_threads(THREADS)",
         "#endif",
@@ -499,23 +513,21 @@ def _tile_driver(ctype: str, layout: str, n_chunks: int, ranges) -> List[str]:
         "        long len = (P - j0 < TILE) ? P - j0 : TILE;",
         "        for (long i = 0; i < NREGS * TILE; ++i) regs[i] = 0;",
         "        if (len < TILE) for (long i = 0; i < SLAB; ++i) slab[i] = 0;",
-        "        for (long a = 0; a < k; ++a)",
+        "        for (long a = 0; a < r; ++a)",
         "            for (long jj = 0; jj < len; ++jj)",
-        f"                slab[{at}] = in[(j0 + jj) * k + a];",
-        "        for (long a = k; a < WORDS; ++a)",
+        f"                slab[{at}] = in[(j0 + jj) * k + IMAP[a]];",
+        "        for (long a = r; a < WORDS; ++a)",
         "            for (long jj = 0; jj < TILE; ++jj)",
         f"                slab[{at}] = 0;",
     ]
     lines += [f"        chunk_{ci}(slab, regs);" for ci in range(n_chunks)]
-    column = 0  # output column of each range's first word
-    for lo, hi in ranges:
-        shift = lo - column
-        index = f"a - {shift}" if shift else "a"
+    column = 0  # output column of each run's first slot
+    for lo, hi in runs:
         lines += [
             "        for (long jj = 0; jj < len; ++jj)",
             f"            for (long a = {lo}; a < {hi}; ++a)",
-            f"                stream_word(&out[(j0 + jj) * OUT_WORDS + {index}], "
-            f"slab[{at}]);",
+            f"                stream_word(&out[(j0 + jj) * OUT_WORDS + "
+            f"{_shifted(lo - column)}], slab[{at}]);",
         ]
         column += hi - lo
     lines += [
@@ -549,23 +561,32 @@ def emit_bulk_c(
     whole memory when the program declares none).  There is no arranged
     global buffer:
 
+    * the kernel runs the program's **compaction**
+      (:func:`repro.trace.compact.compact_memory`): memory words renamed
+      to the slots they keep live, ``WORDS`` of them per lane.  The
+      read-first slots ``[0, NREAD)`` start from the source words of the
+      static input map ``IMAP`` (increasing); the kernel counts the
+      prefix ``r`` of them its ``k`` input words feed, and every other
+      slot starts at zero.
     * lanes are processed in tiles of ``tile`` lanes.  Each tile gathers
-      its inputs into a **tile-private stack slab** of ``memory_words x
-      tile`` words (``stride x tile`` for row layouts), runs the program on
-      the slab and scatters the declared words into ``out`` — the CPU
-      analogue of a CUDA block staging data through shared memory.
-      ``tile`` is therefore a *slab* size: the slab should stay
-      cache-resident, and the engine refuses tiles whose slab exceeds a
-      fixed stack budget.
+      its inputs through ``IMAP`` into a **tile-private stack slab** of
+      ``WORDS x tile`` words (``(WORDS + stride - memory_words) x tile``
+      for row layouts, which keep their padding over the compact width),
+      runs the program on the slab and scatters the declared words'
+      slots into ``out`` — the CPU analogue of a CUDA block staging data
+      through shared memory.  ``tile`` is therefore a *slab* size: the
+      slab should stay cache-resident, and the engine refuses tiles whose
+      slab exceeds a fixed stack budget.
     * the slab's address map is the arrangement's map restricted to one
       tile (:data:`_SLAB_MAPS`): ``a*TILE + jj`` for ``layout="column"``,
-      ``jj*stride + a`` for ``layout="row"`` (row-wise and padded
+      ``jj*STRIDE + a`` for ``layout="row"`` (row-wise and padded
       row-wise, via ``stride``).  One driver serves every layout, and the
       row layouts keep their strided, non-coalesced access pattern.
-    * ``p``, ``tile`` and the word counts are **compile-time constants**,
-      and a ragged last tile zero-fills the lanes it lacks (they compute on
-      zeros and are never scattered), so every lane loop has the constant
-      trip count ``TILE`` and auto-vectorises.
+    * ``p``, ``tile``, the word counts and the input map are
+      **compile-time constants**, and a ragged last tile zero-fills the
+      lanes it lacks (they compute on zeros and are never scattered), so
+      every lane loop has the constant trip count ``TILE`` and
+      auto-vectorises.
     * the straight-line program is split into chunks of ``chunk``
       instructions, each a small ``static`` function with one loop over
       the tile's lanes.  Loads are forwarded from earlier stores/loads in
@@ -586,6 +607,8 @@ def emit_bulk_c(
     Every parameter above is baked into the source, hence into the
     content-addressed cache key.
     """
+    from ..trace.compact import compact_memory
+
     program.validate()
     ctype = _ctype(program)
     if p <= 0:
@@ -594,18 +617,21 @@ def emit_bulk_c(
         raise ProgramError("chunk and tile must be positive")
     if threads < 1:
         raise ProgramError(f"threads must be >= 1, got {threads}")
-    words = program.memory_words
-    if layout == "column":
-        slab_words = words * tile
-    elif layout == "row":
-        if stride < words:
-            raise ProgramError(
-                f"row stride {stride} smaller than memory ({words})"
-            )
+    if layout == "row" and stride < program.memory_words:
+        raise ProgramError(
+            f"row stride {stride} smaller than memory ({program.memory_words})"
+        )
+    if layout not in _SLAB_MAPS:
+        raise ProgramError(f"unknown bulk layout {layout!r}")
+    compaction = compact_memory(program, verify=False)
+    words = compaction.width
+    if layout == "row":
+        stride += words - program.memory_words  # the padding, kept
         slab_words = stride * tile
     else:
-        raise ProgramError(f"unknown bulk layout {layout!r}")
+        slab_words = words * tile
     access = "mem[" + _SLAB_MAPS[layout].format(a="{addr}", jj="jj") + "]"
+    imap = ", ".join(str(a) for a in (*compaction.imap, program.memory_words))
 
     nregs = program.num_registers
     out: List[str] = [
@@ -627,6 +653,10 @@ def emit_bulk_c(
         f"#define SLAB {slab_words}L  /* words of the tile-private slab */",
         f"#define NREGS {nregs}",
         f"#define THREADS {threads}",
+        f"#define NREAD {len(compaction.imap)}L  /* read-first slots: "
+        f"[0, NREAD) start as input words IMAP */",
+        # The sentinel memory_words (>= k) ends the kernel's prefix count.
+        f"static const long IMAP[NREAD + 1] = {{{imap}}};",
     ]
     if lane_independent(program):
         # Licensed by the lane-independence certificate (lint memory
@@ -641,7 +671,8 @@ def emit_bulk_c(
         out.append("#define LANE_HINT")
     out.append("")
 
-    instrs = list(program.instructions)
+    renamed = compaction.program
+    instrs = list(renamed.instructions)
     chunks = [instrs[i : i + chunk] for i in range(0, len(instrs), chunk)] or [[]]
     livein, liveout = _chunk_liveness(chunks)
     for ci, chunk_instrs in enumerate(chunks):
@@ -652,12 +683,12 @@ def emit_bulk_c(
         out.append("    LANE_HINT")
         out.append("    for (long jj = 0; jj < TILE; ++jj) {")
         out.extend(
-            _forwarded_chunk_body(program, chunk_instrs, access, livein[ci])
+            _forwarded_chunk_body(renamed, chunk_instrs, access, livein[ci])
         )
         out.extend(
             f"        regs[{r} * TILE + jj] = r{r};" for r in sorted(liveout[ci])
         )
         out.append("    }\n}\n")
 
-    out.extend(_tile_driver(ctype, layout, len(chunks), program.output_ranges))
+    out.extend(_tile_driver(ctype, layout, len(chunks), compaction.out_runs))
     return "\n".join(out) + "\n"

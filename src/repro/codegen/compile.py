@@ -33,6 +33,7 @@ from ..errors import (
 )
 from ..reliability import faults
 from ..reliability.incidents import record_incident
+from ..trace.compact import compact_memory
 from ..trace.ir import Program
 from .c_emitter import BULK_KERNEL_SYMBOL, _ctype, c_symbol_names, emit_c
 from .cache import cached_library
@@ -61,8 +62,9 @@ __all__ = [
 _BULK_FLAGS = ("-std=c99", "-O3", "-march=native", "-fPIC", "-shared")
 
 #: Defaults of the tiled emission: 512 instructions per chunk function
-#: and 8-lane tiles, whose slab (OPT n=32: 2048 words x 8 lanes = 128 KiB)
-#: stays L2-resident while every lane loop keeps a full vector's trip count.
+#: and 8-lane tiles, whose slab (OPT n=32: 496 compact words x 8 lanes =
+#: 31 KiB) stays L1-resident while every lane loop keeps a full vector's
+#: trip count.
 BULK_DEFAULT_CHUNK = 512
 BULK_DEFAULT_TILE = 8
 
@@ -319,11 +321,16 @@ def native_supported(program: Program, arrangement) -> bool:
 def slab_bytes(program: Program, arrangement, tile: int) -> int:
     """Stack bytes one tile of the native bulk kernel occupies.
 
-    The data slab holds ``tile`` lanes of the arrangement's per-lane
-    footprint (``memory_words``, or the padded row stride), the register
-    slab ``tile`` lanes of every register.
+    The data slab holds ``tile`` lanes of the compact width — the slots
+    the program keeps live (:func:`repro.trace.compact.compact_memory`),
+    plus a padded row's padding — and the register slab ``tile`` lanes of
+    every register.  ``memory_words`` does not enter: the kernel never
+    stages the words the program does not keep.
     """
-    lane_words = getattr(arrangement, "stride", program.memory_words)
+    padding = getattr(arrangement, "stride", program.memory_words) - (
+        program.memory_words
+    )
+    lane_words = compact_memory(program, verify=False).width + padding
     per_lane = lane_words + program.num_registers
     return per_lane * int(tile) * np.dtype(program.dtype).itemsize
 
@@ -444,6 +451,11 @@ def compile_bulk(
     byte for byte the kernel :func:`~repro.analysis.schedule.
     certify_native_schedule` proves for the same request.
 
+    The kernel runs the program's compaction
+    (:func:`repro.trace.compact.compact_memory`), which is proven here
+    against the program, once per program object, unless
+    ``REPRO_VERIFY_PASSES=0``.
+
     ``tile`` is the lane count of one tile's stack slab.  An explicit tile
     whose slabs exceed :data:`SLAB_BUDGET_BYTES` raises
     :class:`~repro.errors.SlabBudgetError`; the default shrinks to fit.
@@ -458,6 +470,9 @@ def compile_bulk(
         )
     from ..analysis.schedule import schedule_config
 
+    # The kernel runs the program's compaction; prove the renaming before
+    # building on it (once per program object, unless verification is off).
+    compact_memory(program)
     config = schedule_config(
         program, arrangement,
         tile=resolve_tile(program, arrangement, tile),

@@ -24,8 +24,13 @@ charged zero time units.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple,
+    TypeVar, Union,
+)
 
 import numpy as np
 
@@ -41,7 +46,10 @@ __all__ = [
     "Select",
     "Instruction",
     "Program",
+    "PerProgram",
 ]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -417,3 +425,37 @@ def concat_programs(programs: Sequence[Program], name: str = "concat") -> Progra
         name=name,
         outputs=programs[0].outputs,
     )
+
+
+class PerProgram(Generic[_T]):
+    """``build(program)``, computed once per live program object.
+
+    For derived objects too large or too live for the instance
+    ``__dict__`` (a compiled replay, a compaction): programs hash by value
+    (26k instructions for OPT n=32) and must not carry them (it would
+    bloat or break pickling), so entries are keyed by identity and
+    dropped by a weak reference's callback when the program dies.
+    """
+
+    def __init__(self, build: Callable[[Program], _T]) -> None:
+        self._build = build
+        self._entries: Dict[int, Tuple[weakref.ref, _T]] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, program: Program) -> _T:
+        key = id(program)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0]() is program:
+            return entry[1]
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0]() is program:
+                return entry[1]
+            value = self._build(program)
+
+            def forget(ref: weakref.ref, key: int = key) -> None:
+                if self._entries.get(key, (None,))[0] is ref:
+                    del self._entries[key]
+
+            self._entries[key] = (weakref.ref(program, forget), value)
+            return value

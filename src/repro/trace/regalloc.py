@@ -37,7 +37,30 @@ from .ir import (
     instruction_uses,
 )
 
-__all__ = ["allocate_registers", "live_width"]
+__all__ = ["SlotPool", "allocate_registers", "live_width"]
+
+
+class SlotPool:
+    """The linear scan's free list: hands out the lowest released slot,
+    else a fresh one past every slot taken so far.
+
+    Registers draw from it here; :mod:`repro.trace.compact` draws memory
+    slots from it.  ``size`` is the number of distinct slots handed out
+    (slots ``[0, start)`` count as taken from the outset).
+    """
+
+    def __init__(self, start: int = 0) -> None:
+        self.size = int(start)
+        self._free: List[int] = []  # min-heap of released slots
+
+    def take(self) -> int:
+        if self._free:
+            return heapq.heappop(self._free)
+        self.size += 1
+        return self.size - 1
+
+    def give(self, slot: int) -> None:
+        heapq.heappush(self._free, slot)
 
 
 def _last_uses(instrs: Sequence[Instruction]) -> Dict[int, int]:
@@ -80,8 +103,7 @@ def allocate_registers(
     """
     last = _last_uses(instrs)
     mapping: Dict[int, int] = {}  # live SSA id -> physical register
-    free: List[int] = []  # min-heap of released physical registers
-    next_reg = 0
+    pool = SlotPool()
     out: List[Instruction] = []
 
     for idx, instr in enumerate(instrs):
@@ -97,7 +119,7 @@ def allocate_registers(
         operand_phys = {r: mapping[r] for r in uses}
         for r in set(uses):
             if last[r] == idx:
-                heapq.heappush(free, mapping.pop(r))
+                pool.give(mapping.pop(r))
 
         rd = instruction_def(instr)
         rd_phys: int | None = None
@@ -106,19 +128,15 @@ def allocate_registers(
                 raise RegisterError(
                     f"instr {idx} ({instr}): SSA value %{rd} defined twice"
                 )
-            if free:
-                rd_phys = heapq.heappop(free)
-            else:
-                rd_phys = next_reg
-                next_reg += 1
+            rd_phys = pool.take()
             if last[rd] == idx:
                 # Defined but never used: register is free again immediately.
-                heapq.heappush(free, rd_phys)
+                pool.give(rd_phys)
             else:
                 mapping[rd] = rd_phys
         out.append(_rewrite(instr, operand_phys, rd_phys))
 
-    return out, max(next_reg, 1)
+    return out, max(pool.size, 1)
 
 
 def live_width(instrs: Sequence[Instruction]) -> int:

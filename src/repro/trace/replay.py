@@ -41,14 +41,12 @@ emits, hence the only ones the guard ever checks.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError, ProgramError
-from .ir import Binary, Const, Load, Program, Select, Store, Unary
+from .ir import Binary, Const, Load, PerProgram, Program, Select, Store, Unary
 from .ops import BINARY_UFUNCS, BinaryOp, UnaryOp
 
 __all__ = ["emit_python", "lane_function", "replay_lanes"]
@@ -145,6 +143,60 @@ def _kind(program: Program) -> str:
 _CHUNK = 2048
 
 
+def _uses(instr, kind: str, program: Program) -> Dict[int, int]:
+    """How often each register's name appears in ``instr``'s statement."""
+    if isinstance(instr, Store):
+        return {instr.rs: 1}
+    if isinstance(instr, Select):
+        operands = {"{c}": instr.rc, "{a}": instr.ra, "{b}": instr.rb}
+        template = "{a} if {c} else {b}"
+    elif isinstance(instr, (Binary, Unary)):
+        template = _rule(instr.op, kind, program)
+        operands = {"{a}": instr.ra}
+        if isinstance(instr, Binary):
+            operands["{b}"] = instr.rb
+    else:
+        return {}
+    counts: Dict[int, int] = {}
+    for slot, reg in operands.items():
+        counts[reg] = counts.get(reg, 0) + template.count(slot)
+    return counts
+
+
+def _inlinable(instrs, kind: str, program: Program) -> List[bool]:
+    """Which loads and comparisons can fold into their consumer:
+    the value is named exactly once before its register is redefined
+    later in the chunk (so the chunk-end register save never sees it)."""
+    out = [False] * len(instrs)
+    named: Dict[int, int] = {}  # register -> names since its next def
+    redefined: set = set()
+    for i in range(len(instrs) - 1, -1, -1):
+        instr = instrs[i]
+        if not isinstance(instr, Store):
+            rd = instr.rd
+            out[i] = (
+                rd in redefined and named.get(rd, 0) == 1
+                and (isinstance(instr, Load) or (
+                    isinstance(instr, Binary) and instr.op in _COMPARE_OPS))
+            )
+            named[rd] = 0
+            redefined.add(rd)
+        for reg, count in _uses(instr, kind, program).items():
+            named[reg] = named.get(reg, 0) + count
+    return out
+
+
+class _Pending(NamedTuple):
+    """A value folded into its one consumer: its expression as an operand
+    and as a ``Select`` condition, and the registers and memory words
+    the expression reads (a redefinition or store flushes it first)."""
+
+    value: str
+    condition: str
+    regs: frozenset
+    addrs: frozenset
+
+
 def emit_python(program: Program) -> Tuple[List[str], Dict[str, object]]:
     """The replay's sources, one per chunk, and the globals they need.
 
@@ -153,6 +205,13 @@ def emit_python(program: Program) -> Tuple[List[str], Dict[str, object]]:
     locals, loaded from and saved back to the list ``regs`` at the chunk's
     edges.  Non-finite constants have no literal, so they are bound as
     globals ``_k0``, ``_k1``, … next to the helpers.
+
+    A ``Load`` or comparison whose value is named once before its
+    register is redefined is folded into its consumer's statement
+    (``r2 = m[4] + m[7]``; a comparison feeding a ``Select`` becomes its
+    condition).  A folded load is flushed to its register before a store
+    to its word, and any folded value before a register it reads is
+    redefined, so every expression reads what the instruction would have.
     """
     kind = _kind(program)
     scalar = program.dtype.type
@@ -165,20 +224,46 @@ def emit_python(program: Program) -> Tuple[List[str], Dict[str, object]]:
         lines = ["def chunk(m, regs):"]
         if regs:
             lines.append(f"    {regs}= regs")
-        for instr in instrs[start : start + _CHUNK]:
+        chunk = instrs[start : start + _CHUNK]
+        folds = _inlinable(chunk, kind, program)
+        pending: Dict[int, _Pending] = {}
+
+        def flush(stale) -> None:
+            for reg in [r for r, p in pending.items() if stale(p)]:
+                lines.append(f"    r{reg} = {pending.pop(reg).value}")
+
+        def operand(reg: int, reads, condition: bool = False) -> str:
+            # A register named twice in one statement is never folded.
+            folded = pending.pop(reg, None)
+            if folded is None:
+                reads[0].add(reg)
+                return f"r{reg}"
+            reads[0].update(folded.regs)
+            reads[1].update(folded.addrs)
+            return folded.condition if condition else folded.value
+
+        for instr, fold in zip(chunk, folds):
+            reads = (set(), set())  # registers and words the statement reads
             if isinstance(instr, Load):
                 rhs = f"m[{instr.addr}]"
+                reads[1].add(instr.addr)
             elif isinstance(instr, Store):
-                lines.append(f"    m[{instr.addr}] = r{instr.rs}")
+                value = operand(instr.rs, reads)
+                flush(lambda p, a=instr.addr: a in p.addrs)
+                lines.append(f"    m[{instr.addr}] = {value}")
                 continue
             elif isinstance(instr, Binary):
-                rhs = _rule(instr.op, kind, program).format(
-                    a=f"r{instr.ra}", b=f"r{instr.rb}"
-                )
+                rule = _rule(instr.op, kind, program)
+                a, b = operand(instr.ra, reads), operand(instr.rb, reads)
+                rhs = rule.format(a=a, b=b)
             elif isinstance(instr, Unary):
-                rhs = _rule(instr.op, kind, program).format(a=f"r{instr.ra}")
+                rhs = _rule(instr.op, kind, program).format(
+                    a=operand(instr.ra, reads)
+                )
             elif isinstance(instr, Select):
-                rhs = f"r{instr.ra} if r{instr.rc} else r{instr.rb}"
+                c = operand(instr.rc, reads, condition=True)
+                a, b = operand(instr.ra, reads), operand(instr.rb, reads)
+                rhs = f"{a} if {c} else {b}"
             elif isinstance(instr, Const):
                 value = scalar(instr.imm).item()
                 if kind == "f" and not math.isfinite(value):
@@ -189,7 +274,18 @@ def emit_python(program: Program) -> Tuple[List[str], Dict[str, object]]:
                     rhs = repr(value)
             else:  # pragma: no cover - unreachable with a validated program
                 raise ProgramError(f"unknown instruction {instr!r}")
-            lines.append(f"    r{instr.rd} = {rhs}")
+            flush(lambda p, r=instr.rd: r in p.regs)
+            if fold:
+                condition = rhs
+                if isinstance(instr, Binary):
+                    condition = f"{a} {_COMPARE_OPS[instr.op]} {b}"
+                    rhs = f"({rhs})"
+                pending[instr.rd] = _Pending(
+                    rhs, condition, frozenset(reads[0]), frozenset(reads[1])
+                )
+            else:
+                lines.append(f"    r{instr.rd} = {rhs}")
+        flush(lambda p: True)
         lines.append(f"    regs[:] = {regs}" if regs else "    return")
         sources.append("\n".join(lines) + "\n")
     return sources, namespace
@@ -223,36 +319,9 @@ def _compile(program: Program) -> Callable[[list], None]:
     return lane
 
 
-# One compiled replay per live program object.  Programs hash by value
-# (26k instructions for OPT n=32) and must not carry the function (it would
-# break pickling), so entries are keyed by identity and dropped by a weak
-# reference's callback when the program dies.
-_functions: Dict[int, Tuple[weakref.ref, Callable[[list], None]]] = {}
-_functions_lock = threading.Lock()
-
-
-def lane_function(program: Program) -> Callable[[list], None]:
-    """The compiled replay of ``program`` (built once per process).
-
-    The returned ``lane(m)`` runs ``program`` on the memory list ``m`` in
-    place.
-    """
-    key = id(program)
-    entry = _functions.get(key)
-    if entry is not None and entry[0]() is program:
-        return entry[1]
-    with _functions_lock:
-        entry = _functions.get(key)
-        if entry is not None and entry[0]() is program:
-            return entry[1]
-        fn = _compile(program)
-
-        def forget(ref: weakref.ref, key: int = key) -> None:
-            if _functions.get(key, (None,))[0] is ref:
-                del _functions[key]
-
-        _functions[key] = (weakref.ref(program, forget), fn)
-        return fn
+#: The compiled replay of a program (built once per process).  The
+#: returned ``lane(m)`` runs the program on the memory list ``m`` in place.
+lane_function: "PerProgram[Callable[[list], None]]" = PerProgram(_compile)
 
 
 def replay_lanes(program: Program, inputs: np.ndarray) -> np.ndarray:

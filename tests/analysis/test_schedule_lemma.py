@@ -1,5 +1,6 @@
 """The driver lemma, executed: the certifier's kernel frame is run as
-written, over every small ``(P, TILE, WORDS, k, layout, STRIDE, outputs)``.
+written, over every small
+``(P, TILE, WORDS, k, layout, STRIDE, IMAP, output slots)``.
 
 ``docs/SCHEDULE.md`` proves the tile driver of the native kernel once, for
 every ``P``; the certifier then only checks that a kernel *is* that frame.
@@ -12,12 +13,13 @@ lemma's:
 
 1. the tiles partition ``[0, P)``, the last one ``P mod TILE`` lanes when
    ``TILE`` does not divide ``P``;
-2. before the first chunk the slab holds each real lane's ``k`` input
-   words at the slab map and zeros everywhere else the chunks can read
-   (words ``[k, WORDS)`` and every word of a ragged tile's absent
-   lanes), and the register slab is zero;
+2. before the first chunk the slab holds, at the slab map, input word
+   ``IMAP[s]`` of each real lane in every slot ``s`` with ``IMAP[s] < k``,
+   and zeros everywhere else the chunks can read (slots ``[r, WORDS)``
+   and every slot of a ragged tile's absent lanes), and the register
+   slab is zero;
 3. the slab map is injective inside ``SLAB``;
-4. each declared word of each real lane is streamed exactly once, to its
+4. each output slot of each real lane is streamed exactly once, to its
    column of its own output row, after the last chunk, and fenced in the
    same tile; nothing else reaches the output;
 5. both slabs are private to a tile: every tile's chunks get a data and a
@@ -25,7 +27,8 @@ lemma's:
    order (any static thread schedule is some order) gives the same image.
 
 The three preprocessor lines around ``#pragma omp`` are the work-sharing
-that clause 5 models; they are the only lines not executed.
+that clause 5 models; they are the only lines not executed.  ``IMAP`` is
+read from the frame's own table line.
 """
 
 import itertools
@@ -61,6 +64,10 @@ _FOR = re.compile(
     r"(?:\+\+\1|\1 \+= ([^)]+))\) ?\{?\s*(.*)$"
 )
 _IF = re.compile(r"^if \((.+?)\) (.+)$")
+_WHILE = re.compile(r"^while \((.+)\) \+\+(\w+);$")
+_LONG = re.compile(r"^long (\w+) = (-?\d+);$")
+_IMAP = re.compile(r"^static const long IMAP\[NREAD \+ 1\] = \{(.*)\};$")
+_COMMENT = re.compile(r"\s*/\*.*?\*/")
 _DECL = re.compile(r"^(?:int64_t|double) (\w+)\[(.+)\];$")
 _LEN = re.compile(r"^long len = \((.+)\) \? (.+) : (.+);$")
 _CALL = re.compile(r"^chunk_(\d+)\(slab, regs\);$")
@@ -84,12 +91,17 @@ def _statement(c, indent):
             rng = f"order({rng})"
         head = [f"{pad}for {var} in {rng}:"]
         return head + (_statement(rest, indent + 4) if rest else [])
+    m = _WHILE.match(c)
+    if m:
+        cond, var = m.groups()
+        return [f"{pad}while {_expr(cond)}:", f"{pad}    {var} += 1"]
     m = _IF.match(c)
     if m:
         return [f"{pad}if {_expr(m.group(1))}:"] + _statement(
             m.group(2), indent + 4
         )
     for form, python in (
+        (_LONG, lambda n, v: f"{n} = {v}"),
         (_DECL, lambda n, s: f"{n} = Cells({_expr(s)}, {n!r})"),
         (_LEN, lambda a, b, c_: f"len_ = ({_expr(b)}) if ({_expr(a)}) else "
                                 f"({_expr(c_)})"),
@@ -105,40 +117,52 @@ def _statement(c, indent):
     raise AssertionError(f"the lemma test cannot execute frame form {c!r}")
 
 
-def _driver(layout, outputs):
-    """The frame's tile driver, compiled to a Python function."""
+def _runs(slots):
+    """Output slots in column order → maximal runs of consecutive slots."""
+    runs = []
+    for slot in slots:
+        if runs and runs[-1][1] == slot:
+            runs[-1][1] += 1
+        else:
+            runs.append([slot, slot + 1])
+    return tuple(map(tuple, runs))
+
+
+def _driver(layout, words, slots, imap, memory_words):
+    """The frame's tile driver, compiled to a Python function, and the
+    ``IMAP`` its table line declares."""
     config = ScheduleConfig(
-        layout=layout, p=1, words=max(hi for _, hi in outputs), tile=1,
-        chunk=1, threads=2, stride=0, outputs=tuple(outputs),
+        layout=layout, p=1, words=words, tile=1, chunk=1, threads=2,
+        stride=0, outputs=_runs(slots), imap=tuple(imap),
+        memory_words=memory_words,
     )
     frame = [line.text for line in _render_frame(
         config, "int64_t", nregs=3, n_chunks=N_CHUNKS, hinted=False
     )]
+    table = next(_IMAP.match(text) for text in frame if _IMAP.match(text))
     start = next(i for i, text in enumerate(frame) if _KERNEL.match(text))
     python = ["def kernel(in_, k, out, order):"]
     for text in frame[start + 1:]:
-        c = text.strip()
+        c = _COMMENT.sub("", text).strip()
         if c.startswith("#") or c == "}":
             continue
         indent = len(text) - len(text.lstrip())
         python += _statement(c, indent)
-    return "\n".join(python)
+    return "\n".join(python), [int(a) for a in table.group(1).split(",")]
 
 
 class _Run:
     """Stub chunks, streamed stores and fences that check the lemma."""
 
-    def __init__(self, P, TILE, WORDS, k, layout, STRIDE, outputs):
+    def __init__(self, P, TILE, WORDS, k, layout, STRIDE, slots, imap):
         self.P, self.TILE, self.WORDS, self.k = P, TILE, WORDS, k
+        self.imap = imap
         self.at = (
             (lambda a, jj: a * TILE + jj) if layout == "column"
             else (lambda a, jj: jj * STRIDE + a)
         )
-        self.column = {}
-        for lo, hi in outputs:
-            for a in range(lo, hi):
-                self.column[a] = len(self.column)
-        self.out_words = len(self.column)
+        self.slots = list(slots)  # the output slot of each column
+        self.out_words = len(self.slots)
         self.lanes = []  # (j0, len) per tile, from the first chunk
         self.calls = {}  # j0 -> chunk indices called
         self.events = []  # ("stream" | "fence", j0) in program order
@@ -155,11 +179,12 @@ class _Run:
         if index == 0:
             self.lanes.append((j0, len_))
             assert all(regs[i] == 0 for i in range(len(regs.data)))
-            for a in range(self.WORDS):
+            for s in range(self.WORDS):
                 for jj in range(self.TILE):
-                    real = jj < len_ and a < self.k
-                    want = ("in", j0 + jj, a) if real else 0
-                    assert slab[self.at(a, jj)] == want, (a, jj)
+                    real = (jj < len_ and s < len(self.imap)
+                            and self.imap[s] < self.k)
+                    want = ("in", j0 + jj, self.imap[s]) if real else 0
+                    assert slab[self.at(s, jj)] == want, (s, jj)
         if index == N_CHUNKS - 1:  # compute: each lane's words, its own
             for a in range(self.WORDS):
                 for jj in range(self.TILE):
@@ -195,10 +220,10 @@ class _Run:
         # 5. tile-private slabs
         arrays = [a for pair in self.slabs.values() for a in pair]
         assert len({id(a) for a in arrays}) == len(arrays), "shared slab"
-        # 4. each declared word of each real lane, once, in its column
+        # 4. each output slot of each real lane, once, in its column
         for lane in range(P):
-            for a, col in self.column.items():
-                assert out[lane * self.out_words + col] == ("res", lane, a)
+            for col, slot in enumerate(self.slots):
+                assert out[lane * self.out_words + col] == ("res", lane, slot)
         # ... fenced before the tile ends
         for t, (kind, j0) in enumerate(self.events):
             if kind == "stream":
@@ -231,21 +256,21 @@ def _cases():
                 yield "row", words, stride, outputs
 
 
-@pytest.mark.parametrize("layout, words, stride, outputs", list(_cases()))
-def test_the_frame_satisfies_the_lemma(layout, words, stride, outputs):
-    source = _driver(layout, outputs)
+def _check_lemma(layout, words, stride, slots, imap, memory_words, ks):
+    source, table = _driver(layout, words, slots, imap, memory_words)
+    assert table == [*imap, memory_words]
     for P in range(1, 8):
         for TILE in range(1, 5):
             slab = (words if layout == "column" else stride) * TILE
             env = dict(
                 P=P, TILE=TILE, WORDS=words, STRIDE=stride, SLAB=slab,
-                NREGS=3, THREADS=2, OUT_WORDS=sum(hi - lo for lo, hi in outputs),
-                Cells=Cells,
+                NREGS=3, THREADS=2, OUT_WORDS=len(slots), NREAD=len(imap),
+                IMAP=table, Cells=Cells,
             )
-            for k in range(words + 1):
+            for k in ks:
                 images = []
                 for order in (list, lambda r: list(r)[::-1]):
-                    run = _Run(P, TILE, words, k, layout, stride, outputs)
+                    run = _Run(P, TILE, words, k, layout, stride, slots, imap)
                     namespace = dict(env, chunk=run.chunk, fence=run.fence,
                                      stream_word=run.stream_word)
                     exec(source, namespace)
@@ -255,9 +280,63 @@ def test_the_frame_satisfies_the_lemma(layout, words, stride, outputs):
                 assert images[0] == images[1], "tiles are not independent"
 
 
+@pytest.mark.parametrize("layout, words, stride, outputs", list(_cases()))
+def test_the_frame_satisfies_the_lemma(layout, words, stride, outputs):
+    # Every sorted declaration under the identity compaction (every word
+    # read first, so IMAP is [0, WORDS)), for every k.
+    slots = [a for lo, hi in outputs for a in range(lo, hi)]
+    _check_lemma(layout, words, stride, slots, tuple(range(words)), words,
+                 range(words + 1))
+
+
+def _unsorted_slot_orders(words):
+    """Every injective sequence of output slots in [0, words) that is out
+    of slot order: runs with negative shifts."""
+    for n in range(2, words + 1):
+        for slots in itertools.permutations(range(words), n):
+            if list(slots) != sorted(slots):
+                yield slots
+
+
+def _maps(words, memory_words):
+    """Increasing input maps of source words: the empty one, every one of
+    one slot, and every full-width one (which leaves one word unmapped
+    when ``memory_words = words + 1``)."""
+    for n in range(words + 1):
+        if n <= 1 or n == words:
+            yield from itertools.combinations(range(memory_words), n)
+
+
+def _compacted_cases():
+    # Unsorted output slots over the identity map with no and all inputs,
+    # then every map under one output and every k: the scatter and the
+    # gather are independent parts of the frame.
+    for words in range(1, 4):
+        cases = [(slots, tuple(range(words)), words, (0, words))
+                 for slots in _unsorted_slot_orders(words)]
+        cases += [((0,), imap, words + 1, tuple(range(words + 2)))
+                  for imap in _maps(words, words + 1)]
+        for slots, imap, memory_words, ks in cases:
+            yield "column", words, 0, slots, imap, memory_words, ks
+            for stride in (words, words + 1):
+                yield "row", words, stride, slots, imap, memory_words, ks
+
+
+@pytest.mark.parametrize(
+    "layout, words, stride, slots, imap, memory_words, ks",
+    list(_compacted_cases()),
+)
+def test_the_frame_satisfies_the_lemma_under_compaction(
+    layout, words, stride, slots, imap, memory_words, ks
+):
+    _check_lemma(layout, words, stride, slots, imap, memory_words, ks)
+
+
 def test_the_translation_covers_the_whole_driver():
-    source = _driver("column", ((0, 1), (2, 3)))
+    source, _ = _driver("column", 3, (2, 0), (1, 2), 4)
     for form in ("order(range(0, P, TILE))", "slab = Cells(SLAB", "regs = Cells",
                  "if len_ < TILE:", "chunk(1, slab, regs", "stream_word(out",
-                 "fence(j0)", "in_[(j0 + jj) * k + a]"):
+                 "fence(j0)", "in_[(j0 + jj) * k + IMAP[a]]",
+                 "while IMAP[r] < k:", "range(r, WORDS", "OUT_WORDS + a - 2,",
+                 "OUT_WORDS + a + 1,"):
         assert form in source, form

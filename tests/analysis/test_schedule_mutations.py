@@ -14,7 +14,7 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * the fence after the streamed scatter deleted             -> ``OBL-S702``
 * a ``stream_word`` helper redefined to write ``dst[1]``   -> ``OBL-S703``
 * a plain store to the output beside the streamed scatter  -> ``OBL-S702``
-* the slab's words ``[k, WORDS)`` left unzeroed            -> ``OBL-S701``
+* the slab's slots ``[r, WORDS)`` left unzeroed            -> ``OBL-S701``
 * a ragged tile's absent lanes left unzeroed               -> ``OBL-S701``
 * forwarding past an aliasing store                        -> ``OBL-S704``
 * an off-by-one chunk boundary (dropped / duplicated work) -> ``OBL-S701``
@@ -37,7 +37,19 @@ and, on a program with declared outputs (:class:`TestDeclaredOutputs`):
 * a wrong ``OUT_WORDS``                                    -> ``OBL-S703``
 * two ranges' scatters overlapping                         -> ``OBL-S702``
 * two ranges' scatters out of order                        -> ``OBL-S701``
-* a range streamed to the wrong columns                    -> ``OBL-S703``
+* a range streamed to the wrong columns (a run shifted back or forward)
+                                                           -> ``OBL-S703``
+
+and, on the compaction's gather (:class:`TestInputMap`):
+
+* a duplicated ``IMAP`` entry (a non-injective map)        -> ``OBL-S703``
+* an ``IMAP`` entry off by one                             -> ``OBL-S703``
+* a zero fill that starts at ``NREAD`` instead of ``r``    -> ``OBL-S701``
+* a ``WORDS`` wider or narrower than the map               -> ``OBL-S703``
+
+The kernel runs the program's compaction (:mod:`repro.trace.compact`):
+the scatter nests are runs of output *slots*, and the gather reads input
+word ``IMAP[a]`` into slot ``a``.
 
 Every mutation starts from a source that certifies cleanly, so a failure
 is attributable to the seeded bug alone.
@@ -153,7 +165,8 @@ class TestSeededScheduleBugs:
     def test_gather_reads_the_wrong_lane(self, clean):
         program, source, config = clean
         mutated = _mutate(
-            source, "= in[(j0 + jj) * k + a];", "= in[(j0 + jj + 1) * k + a];"
+            source, "= in[(j0 + jj) * k + IMAP[a]];",
+            "= in[(j0 + jj + 1) * k + IMAP[a]];",
         )
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert any(
@@ -222,13 +235,13 @@ class TestSeededScheduleBugs:
         # with the weakly-ordered streamed ones, outside the proof.
         scatter = (
             "        for (long jj = 0; jj < len; ++jj)\n"
-            "            for (long a = 0; a < 4; ++a)\n"
+            "            for (long a = 0; a < 1; ++a)\n"
             "                stream_word(&out[(j0 + jj) * OUT_WORDS + a], "
             "slab[a * TILE + jj]);\n"
         )
         plain = (
             "        for (long jj = 0; jj < len; ++jj)\n"
-            "            for (long a = 0; a < 4; ++a)\n"
+            "            for (long a = 0; a < 1; ++a)\n"
             "                out[(j0 + jj) * OUT_WORDS + a] = slab[a * TILE + jj];\n"
         )
         mutated = _mutate(source, scatter, scatter + plain)
@@ -242,14 +255,14 @@ class TestSeededScheduleBugs:
         program, source, config = clean
         mutated = _mutate(
             source,
-            "        for (long a = k; a < WORDS; ++a)\n"
+            "        for (long a = r; a < WORDS; ++a)\n"
             "            for (long jj = 0; jj < TILE; ++jj)\n"
             "                slab[a * TILE + jj] = 0;\n",
             "",
         )
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert any(
-            d.rule_id == "OBL-S701" and "[k, WORDS)" in d.message
+            d.rule_id == "OBL-S701" and "[r, WORDS)" in d.message
             for d in diags
         )
 
@@ -324,8 +337,20 @@ class TestSeededScheduleBugs:
         assert "OBL-S701" in rules
 
 
-#: Words 0 and 2..3 of the four: two ranges, the second shifted one column.
+#: Words 0 and 2..3 of the four: two ranges.  Word 0 is read first and
+#: words 2..3 are untouched outputs, so the compaction gathers them into
+#: slots 0..2, one run; word 1, a dead store, gets slot 3.
 RANGES = ((0, 1), (2, 4))
+ONLY = (
+    "        for (long jj = 0; jj < len; ++jj)\n"
+    "            for (long a = 0; a < 3; ++a)\n"
+    "                stream_word(&out[(j0 + jj) * OUT_WORDS + a], "
+    "slab[a * TILE + jj]);\n"
+)
+#: Words 0..1 and 3: word 1, stored last, gets slot 2 after the gathered
+#: words 0 and 3, so the output slots in column order are 0, 2, 1 — three
+#: runs, the second shifted one column back, the third one forward.
+SHUFFLED = ((0, 2), (3, 4))
 FIRST = (
     "        for (long jj = 0; jj < len; ++jj)\n"
     "            for (long a = 0; a < 1; ++a)\n"
@@ -334,8 +359,14 @@ FIRST = (
 )
 SECOND = (
     "        for (long jj = 0; jj < len; ++jj)\n"
-    "            for (long a = 2; a < 4; ++a)\n"
+    "            for (long a = 2; a < 3; ++a)\n"
     "                stream_word(&out[(j0 + jj) * OUT_WORDS + a - 1], "
+    "slab[a * TILE + jj]);\n"
+)
+THIRD = (
+    "        for (long jj = 0; jj < len; ++jj)\n"
+    "            for (long a = 1; a < 2; ++a)\n"
+    "                stream_word(&out[(j0 + jj) * OUT_WORDS + a + 1], "
     "slab[a * TILE + jj]);\n"
 )
 
@@ -344,8 +375,17 @@ SECOND = (
 def declared():
     program = _program(RANGES)
     source, config = _emit(program)
-    assert FIRST + SECOND in source
+    assert ONLY in source
     assert "#define OUT_WORDS 3L" in source
+    assert _rules(program, source, config) == []
+    return program, source, config
+
+
+@pytest.fixture()
+def shuffled():
+    program = _program(SHUFFLED)
+    source, config = _emit(program)
+    assert FIRST + SECOND + THIRD in source
     assert _rules(program, source, config) == []
     return program, source, config
 
@@ -353,17 +393,18 @@ def declared():
 class TestDeclaredOutputs:
     def test_dropped_declared_word(self, declared):
         program, source, config = declared
-        mutated = _mutate(source, "a < 4;", "a < 3;")
+        mutated = _mutate(source, "a < 3;", "a < 2;")
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert [d.rule_id for d in diags] == ["OBL-S701"]
-        assert "drops declared output word(s) 3" in diags[0].message
+        assert "drops declared output slot(s) 2" in diags[0].message
 
     def test_undeclared_word_written(self, declared):
         program, source, config = declared
-        mutated = _mutate(source, "a < 1;", "a < 2;")
+        # Slot 3 holds word 1's dead store, which no output declares.
+        mutated = _mutate(source, "a < 3;", "a < 4;")
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert [d.rule_id for d in diags] == ["OBL-S702"]
-        assert "undeclared word(s) 1" in diags[0].message
+        assert "undeclared slot(s) 3" in diags[0].message
 
     def test_wrong_out_words(self, declared):
         program, source, config = declared
@@ -372,33 +413,94 @@ class TestDeclaredOutputs:
         assert [d.rule_id for d in diags] == ["OBL-S703"]
         assert "OUT_WORDS=4" in diags[0].message
 
-    def test_overlapping_ranges(self, declared):
-        program, source, config = declared
-        mutated = _mutate(source, FIRST + SECOND, FIRST + SECOND + SECOND)
+    def test_overlapping_ranges(self, shuffled):
+        program, source, config = shuffled
+        mutated = _mutate(source, SECOND + THIRD, SECOND + SECOND + THIRD)
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert [d.rule_id for d in diags] == ["OBL-S702"]
         assert "more than once" in diags[0].message
 
-    def test_ranges_out_of_order(self, declared):
-        program, source, config = declared
+    def test_ranges_out_of_order(self, shuffled):
+        program, source, config = shuffled
         # Each nest keeps its right columns: only the order is wrong.
         mutated = _mutate(source, FIRST + SECOND, SECOND + FIRST)
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert [d.rule_id for d in diags] == ["OBL-S701"]
         assert "declared range order" in diags[0].message
 
-    def test_range_streamed_to_the_wrong_columns(self, declared):
-        program, source, config = declared
+    def test_range_streamed_to_the_wrong_columns(self, shuffled):
+        program, source, config = shuffled
         mutated = _mutate(source, "OUT_WORDS + a - 1]", "OUT_WORDS + a - 2]")
         diags, _, _ = certify_bulk_schedule(program, mutated, config)
         assert [d.rule_id for d in diags] == ["OBL-S703"]
         assert "declared column is 1" in diags[0].message
+
+    def test_forward_run_streamed_to_the_wrong_columns(self, shuffled):
+        program, source, config = shuffled
+        mutated = _mutate(source, "OUT_WORDS + a + 1]", "OUT_WORDS + a]")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "declared column is 2" in diags[0].message
 
     def test_certificate_counts_the_declared_words(self, declared):
         program, source, config = declared
         _, certs, proof = certify_bulk_schedule(program, source, config)
         assert proof.certified
         assert any("3 declared output word(s)" in c for c in certs)
+
+
+IMAP = "static const long IMAP[NREAD + 1] = {0, 2, 3, 4};"
+
+
+class TestInputMap:
+    """The gather through the compaction's input map: the clean program
+    reads word 0 first and returns the untouched words 2 and 3, so
+    ``IMAP`` is ``{0, 2, 3}`` and the sentinel 4."""
+
+    def test_clean_map(self, clean):
+        _, source, config = clean
+        assert IMAP in source
+        assert config.imap == (0, 2, 3) and config.words == 4
+
+    def test_duplicated_entry_is_not_injective(self, clean):
+        program, source, config = clean
+        mutated = _mutate(source, IMAP, IMAP.replace("{0, 2, 3,", "{0, 2, 2,"))
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "not injective" in diags[0].message
+
+    def test_entry_off_by_one(self, clean):
+        program, source, config = clean
+        mutated = _mutate(source, IMAP, IMAP.replace("{0, 2,", "{1, 2,"))
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "feeds slot 0 from source word 1" in diags[0].message
+
+    def test_zero_fill_from_the_map_length(self, clean):
+        program, source, config = clean
+        # Slots [r, NREAD) are read-first words past the caller's k inputs:
+        # they must read zero, not whatever the stack held.
+        mutated = _mutate(source, "for (long a = r; a < WORDS; ++a)",
+                          "for (long a = NREAD; a < WORDS; ++a)")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S701"]
+        assert "[r, WORDS)" in diags[0].message
+
+    @pytest.mark.parametrize("words", [3, 5], ids=["narrower", "wider"])
+    def test_words_other_than_the_map(self, clean, words):
+        program, source, config = clean
+        mutated = _mutate(source, "#define WORDS 4L", f"#define WORDS {words}L")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert f"WORDS={words}" in diags[0].message
+
+    def test_request_off_the_compaction(self, clean):
+        program, source, config = clean
+        import dataclasses
+
+        wrong = dataclasses.replace(config, imap=(0, 1, 3))
+        rules = _rules(program, wrong.emit(program), wrong)
+        assert "OBL-S703" in rules
 
 
 class TestMutationsAreErrors:

@@ -285,3 +285,52 @@ def test_program_facts_untouched_by_replay_cache():
     assert replay.replay_lanes(clone, np.zeros((1, 0))).tobytes() == (
         replay.replay_lanes(program, np.zeros((1, 0))).tobytes()
     )
+
+
+# -- folded loads and comparisons ----------------------------------------------
+
+def _replay_matches_sequential(program, rows):
+    inputs = np.array(rows, dtype=program.dtype)
+    got = replay.replay_lanes(program, inputs)
+    assert got.tobytes() == _sequential(program, inputs).tobytes()
+    return "".join(replay.emit_python(program)[0])
+
+
+def test_folded_load_flushed_before_a_store_to_its_word():
+    # r0 = m[5] is named once (by the ADD) but word 5 is overwritten first:
+    # the load must land in r0 before the store, not be re-read after it.
+    program = Program((
+        Load(0, 5), Const(1, 7.0), Store(5, 1),
+        Binary(BinaryOp.ADD, 2, 0, 1), Store(6, 2), Const(0, 0.0),
+    ), 3, 7, np.dtype(np.float64))
+    source = _replay_matches_sequential(program, [[0, 1, 2, 3, 4, 10.0, 0]])
+    assert source.index("r0 = m[5]") < source.index("m[5] = r1")
+
+
+def test_folded_comparison_flushed_before_its_operand_changes():
+    # The LT reads r0, which is redefined before the Select consumes it.
+    program = Program((
+        Load(0, 0), Load(1, 1), Binary(BinaryOp.LT, 2, 0, 1),
+        Store(3, 0), Const(0, 100), Select(3, 2, 0, 1), Store(2, 3),
+        Const(2, 0), Const(3, 0),
+    ), 4, 4, np.dtype(np.int64))
+    source = _replay_matches_sequential(program, [[1, 2], [2, 1], [5, 5]])
+    assert source.index("r2 = (1 if r0 < r1 else 0)") < source.index(
+        "r0 = 100")
+
+
+def test_folded_comparison_flushed_before_a_store_to_a_word_it_reads():
+    program = Program((
+        Load(0, 0), Load(1, 1), Binary(BinaryOp.GT, 2, 0, 1), Const(3, 9),
+        Store(0, 3), Select(3, 2, 3, 3), Store(2, 3), Const(2, 0),
+    ), 4, 3, np.dtype(np.int64))
+    _replay_matches_sequential(program, [[3, 1], [1, 3]])
+
+
+def test_single_use_values_fold_into_their_consumer():
+    program = get_spec("opt").build(8)
+    sources = replay.emit_python(program)[0]
+    statements = sum(len(s.splitlines()) - 3 for s in sources)
+    assert statements < len(program.instructions) / 2
+    assert any(" if " in line and " < " in line and "m[" not in line
+               for s in sources for line in s.splitlines())
