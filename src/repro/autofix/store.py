@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ProgramError
 from ..reliability.incidents import record_incident
-from ..trace.ir import Program
+from ..trace.ir import PerProgram, Program
 from ..trace.serialize import program_from_dict, program_to_dict
 
 __all__ = [
@@ -55,6 +55,17 @@ FORMAT = "repro-autofix-promotions"
 FORMAT_VERSION = 1
 
 
+def _fingerprint(program: Program) -> str:
+    doc = program_to_dict(program)
+    doc.pop("name", None)
+    doc.pop("meta", None)
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+_fingerprints: "PerProgram[str]" = PerProgram(_fingerprint)
+
+
 def program_fingerprint(program: Program) -> str:
     """Content hash of a program's semantics-bearing parts.
 
@@ -62,13 +73,9 @@ def program_fingerprint(program: Program) -> str:
     outputs (two programs that return different words never collide);
     excludes the display name and ``meta`` so ``opt-8`` and ``opt-8+O2``
     renamed copies of the same code collide exactly when their
-    instructions do.
+    instructions do.  Computed once per program object.
     """
-    doc = program_to_dict(program)
-    doc.pop("name", None)
-    doc.pop("meta", None)
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _fingerprints(program)
 
 
 @dataclass(frozen=True)
@@ -182,6 +189,8 @@ class PromotionStore:
         if not self.enabled():
             return None
         self._load_env_once()
+        if not self._promotions:
+            return None  # nothing installed: no fingerprint to compute
         key = (program_fingerprint(program), arrangement)
         with self._lock:
             return self._promotions.get(key)

@@ -224,23 +224,14 @@ class Arrangement(ABC):
         out[:, column : column + hi - lo] = self.unpack(buffer)[:q, lo:hi]
 
     @abstractmethod
-    def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
-        """Read local word ``local`` of every input into ``out`` (length p)."""
+    def word_view(self, buffer: np.ndarray) -> np.ndarray:
+        """A writable ``(words, p)`` *view* of ``buffer``: row ``a`` is local
+        word ``a`` across all inputs.
 
-    @abstractmethod
-    def write_step(self, buffer: np.ndarray, local: int, values: np.ndarray) -> None:
-        """Write ``values[j]`` to local word ``local`` of every input ``j``."""
-
-    def step_view(self, buffer: np.ndarray, local: int):
-        """A writable length-``p`` *view* of local word ``local`` across all
-        inputs, or ``None`` when the layout cannot expose one.
-
-        The fusion pass uses these views to elide loads/stores: reading a
-        register bound to a view touches the buffer in place instead of
-        copying the row.  Arrangements without a viewable layout return
-        ``None`` and the engine falls back to :meth:`read_step` copies.
+        The fusion pass runs on these rows: a register bound to one reads
+        the buffer in place instead of copying it, and a wide step reads
+        or writes a strided slice of them as one ``(k, p)`` block.
         """
-        return None
 
     # -- shared validation ----------------------------------------------------
     def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
@@ -328,14 +319,8 @@ class ColumnWise(Arrangement):
     def _clear_words(self, buffer: np.ndarray, start: int, stop: int) -> None:
         buffer[start:stop] = 0
 
-    def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
-        np.copyto(out, buffer[local])  # contiguous row: one cache-friendly copy
-
-    def write_step(self, buffer: np.ndarray, local: int, values: np.ndarray) -> None:
-        buffer[local] = values
-
-    def step_view(self, buffer: np.ndarray, local: int):
-        return buffer[local]  # contiguous (n, p) row
+    def word_view(self, buffer: np.ndarray) -> np.ndarray:
+        return buffer  # contiguous (n, p) rows
 
 
 class RowWise(Arrangement):
@@ -365,14 +350,8 @@ class RowWise(Arrangement):
     ) -> None:
         out[:, column : column + hi - lo] = buffer[: out.shape[0], lo:hi]
 
-    def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
-        np.copyto(out, buffer[:, local])  # stride-n gather: one word per cache line
-
-    def write_step(self, buffer: np.ndarray, local: int, values: np.ndarray) -> None:
-        buffer[:, local] = values
-
-    def step_view(self, buffer: np.ndarray, local: int):
-        return buffer[:, local]  # stride-n column view
+    def word_view(self, buffer: np.ndarray) -> np.ndarray:
+        return buffer.T  # stride-n columns
 
     def _clear_tail(self, buffer: np.ndarray, k: int) -> None:
         buffer[:, k:] = 0  # columns [0, k) are fully overwritten by pack
@@ -438,14 +417,8 @@ class PaddedRowWise(Arrangement):
     ) -> None:
         out[:, column : column + hi - lo] = buffer[: out.shape[0], lo:hi]
 
-    def read_step(self, buffer: np.ndarray, local: int, out: np.ndarray) -> None:
-        np.copyto(out, buffer[:, local])
-
-    def write_step(self, buffer: np.ndarray, local: int, values: np.ndarray) -> None:
-        buffer[:, local] = values
-
-    def step_view(self, buffer: np.ndarray, local: int):
-        return buffer[:, local]  # stride-(n+pad) column view
+    def word_view(self, buffer: np.ndarray) -> np.ndarray:
+        return buffer.T[: self.words]  # stride-(n+pad) columns
 
     def _clear_tail(self, buffer: np.ndarray, k: int) -> None:
         buffer[:, k:] = 0  # data tail plus the padding columns

@@ -152,10 +152,7 @@ class TestRegistryWideProofs:
         p = 8
         arr = ColumnWise(program.memory_words, p)
         mem = arr.allocate(program.dtype)
-        regs = np.zeros((program.num_registers, p), dtype=program.dtype)
-        mask = np.zeros(p, dtype=bool)
-        mask2 = np.zeros(p, dtype=bool)
-        compile_fused(program, arr, mem, regs, mask, mask2, verify=True)
+        compile_fused(program, arr, mem, verify=True)
 
 
 class TestVerifyGuardTrips:

@@ -201,9 +201,4 @@ class TestVerifyPassesDefault:
         p = 4
         arr = ColumnWise(fixable_program.memory_words, p)
         mem = arr.allocate(fixable_program.dtype)
-        regs = np.zeros(
-            (fixable_program.num_registers, p), dtype=fixable_program.dtype
-        )
-        mask = np.zeros(p, dtype=bool)
-        mask2 = np.zeros(p, dtype=bool)
-        compile_fused(fixable_program, arr, mem, regs, mask, mask2)
+        compile_fused(fixable_program, arr, mem)

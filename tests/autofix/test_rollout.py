@@ -137,6 +137,49 @@ class TestRollout:
         assert same is fixable_program and arr == "row"
 
 
+class TestResolveCost:
+    def test_empty_store_never_fingerprints(
+        self, fixable_program, monkeypatch
+    ):
+        from repro.autofix import store as store_mod
+        from repro.bulk import BulkExecutor
+
+        calls = []
+        monkeypatch.setattr(
+            store_mod, "program_fingerprint",
+            lambda program: calls.append(program) or "never",
+        )
+        assert promotion_store().promotions() == []
+        same, arr = promotion_store().resolve(fixable_program, "row")
+        assert same is fixable_program and arr == "row"
+        BulkExecutor(fixable_program, 4, "row").close()
+        assert calls == []
+
+    def test_installed_promotion_still_resolves(
+        self, fixable_program, fixable_diagnostics, params
+    ):
+        verdict = accepted_verdict(
+            fixable_program, fixable_diagnostics, params
+        )
+        rollout_candidate(
+            fixable_program, verdict, p=16,
+            from_arrangement="row", input_words=SPAN,
+        )
+        swapped, arr = promotion_store().resolve(fixable_program, "row")
+        assert swapped is verdict.proposal.program and arr == "column"
+
+    def test_fingerprint_memoised_per_program_object(self, fixable_program):
+        first = program_fingerprint(fixable_program)
+        assert program_fingerprint(fixable_program) is first
+        twin = type(fixable_program)(
+            instructions=fixable_program.instructions,
+            num_registers=fixable_program.num_registers,
+            memory_words=fixable_program.memory_words,
+            dtype=fixable_program.dtype,
+        )
+        assert program_fingerprint(twin) == first
+
+
 class TestPersistence:
     def test_save_load_roundtrip(
         self, fixable_program, fixable_diagnostics, params, tmp_path

@@ -120,10 +120,8 @@ class TestStepIO:
         arr = cls(words=6, p=4)
         buf = arr.allocate(np.float64)
         vals = rng.uniform(-1, 1, size=4)
-        arr.write_step(buf, 2, vals)
-        out = np.empty(4)
-        arr.read_step(buf, 2, out)
-        np.testing.assert_array_equal(out, vals)
+        arr.word_view(buf)[2] = vals
+        np.testing.assert_array_equal(arr.word_view(buf)[2], vals)
         # The step write must land at each input's word 2.
         unpacked = arr.unpack(buf)
         np.testing.assert_array_equal(unpacked[:, 2], vals)
@@ -142,7 +140,7 @@ class TestStepIO:
             buf = arr.allocate(np.float64)
             vals = np.zeros(p)
             vals[j] = 1.0
-            arr.write_step(buf, i, vals)
+            arr.word_view(buf)[i] = vals
             flat = buf.reshape(-1)
             assert flat[int(arr.global_address(i, j))] == 1.0
 

@@ -9,8 +9,7 @@ interpreter compute:
   shift counts 63, 64 and -1) and float64 edge values (NaN, ±0, ±inf,
   division and modulo by zero), with the NumPy engine on every
   arrangement, so the edge values also cross the row layouts' strided
-  ``read_step``/``write_step`` and the fusion pass's alias
-  materialisation.  The generator reuses
+  word views and the fusion pass's alias materialisation.  The generator reuses
   :func:`~tests.bulk.test_simulate_methods.trace_configs` for the memory
   geometry and the address trace, so its Loads and Stores walk the same
   shapes the pricing equivalence tests do;
