@@ -35,8 +35,8 @@ It splits the proof in two (see ``docs/SCHEDULE.md``):
     image in an injective slab map, every declared word of every real lane
     is streamed once and fenced, and both slabs are tile-private — so
     ``schedule(static)`` threads write disjoint sets (race freedom).  No
-    per-kernel code simulates the tile loop; ``P`` enters only through
-    the frame's ``#define P`` line.
+    per-kernel code simulates the tile loop; ``P`` is the kernel's last
+    argument, so one certificate covers every lane count.
 
 **Trace preservation** (``OBL-S701``)
     One symbolic lane is replayed through the chunk bodies in the frame's
@@ -77,7 +77,9 @@ import numpy as np
 
 from ..errors import ProgramError
 from ..trace.compact import compact_memory
-from ..trace.ir import Binary, Const, Load, Program, Select, Store, Unary
+from ..trace.ir import (
+    Binary, Const, Load, PerProgram, Program, Select, Store, Unary,
+)
 from .lint.diagnostics import Diagnostic, Severity
 from .lint.equiv import ValueNumbering
 from .lint.rules import diag
@@ -125,10 +127,11 @@ class ScheduleConfig:
 
     This is the certifier's ground truth: what the engine will allocate
     and price.  Everything parsed out of the source is checked against it.
+    The lane count is not part of it: the kernel takes ``P`` as an
+    argument, so one schedule serves every batch size.
     """
 
     layout: str  # "column" | "row"
-    p: int
     words: int  # slab lane width: the compaction's slots
     tile: int
     chunk: int
@@ -155,20 +158,28 @@ class ScheduleConfig:
 
         The one emission call: :func:`~repro.codegen.compile.compile_bulk`
         compiles exactly this text and :func:`certify_native_schedule`
-        proves it.
+        proves it.  Emitted once per program object and schedule, so
+        executors of the same program at other lane counts reuse it.
         """
-        from ..codegen.c_emitter import emit_bulk_c
+        sources = _emissions(program)
+        source = sources.get(self)
+        if source is None:
+            from ..codegen.c_emitter import emit_bulk_c
 
-        return emit_bulk_c(
-            program,
-            self.layout,
-            p=self.p,
-            # the arrangement's stride: the compaction keeps its padding
-            stride=self.stride and self.stride + self.memory_words - self.words,
-            chunk=self.chunk,
-            tile=self.tile,
-            threads=self.threads,
-        )
+            source = sources[self] = emit_bulk_c(
+                program,
+                self.layout,
+                # the arrangement's stride: the compaction keeps its padding
+                stride=self.stride and self.stride + self.memory_words - self.words,
+                chunk=self.chunk,
+                tile=self.tile,
+                threads=self.threads,
+            )
+        return source
+
+
+#: Each program's emitted kernels, by schedule.
+_emissions: "PerProgram[Dict[ScheduleConfig, str]]" = PerProgram(lambda _: {})
 
 
 def schedule_config(
@@ -213,7 +224,6 @@ def schedule_config(
         stride = int(stride) + compaction.width - program.memory_words
     return ScheduleConfig(
         layout=layout,
-        p=int(arrangement.p),
         words=compaction.width,
         tile=int(tile),
         chunk=int(chunk),
@@ -232,14 +242,18 @@ def schedule_config(
 class ScheduleProof:
     """What was proven about one emitted schedule.
 
+    The proof holds for every lane count ``P >= 1`` (the driver lemma).
+    ``p`` is the lane count the span cross-check priced, and
     ``span_tiled``/``span_sequential`` are the modeled stage counts of one
-    coalesced bulk step under the tiled and the flat issue order (equal
-    when ``w`` divides the tile; absent when no ``w`` was supplied).
+    coalesced bulk step at that ``p`` under the tiled and the flat issue
+    order (equal when ``w`` divides the tile; absent when no ``p`` and
+    ``w`` were supplied).
     """
 
     program: str
     label: str
     config: ScheduleConfig
+    p: Optional[int]
     accesses_per_lane: int
     elided_loads: int
     spill_loads: int
@@ -250,10 +264,11 @@ class ScheduleProof:
 
     @property
     def tiles(self) -> Tuple[Tuple[int, int], ...]:
-        """The ``(first_lane, length)`` tiles of ``[0, P)`` — the driver
-        lemma's closed form: ``TILE`` lanes each, the last one ``P - j0``."""
-        c = self.config
-        return tuple((j0, min(c.tile, c.p - j0)) for j0 in range(0, c.p, c.tile))
+        """The ``(first_lane, length)`` tiles of ``[0, p)`` — the driver
+        lemma's closed form: ``TILE`` lanes each, the last one ``p - j0``
+        (empty when no ``p`` was priced)."""
+        tile, p = self.config.tile, self.p or 0
+        return tuple((j0, min(tile, p - j0)) for j0 in range(0, p, tile))
 
     def describe(self) -> str:
         c = self.config
@@ -264,9 +279,10 @@ class ScheduleProof:
                 f"; span {self.span_tiled} stage(s) "
                 f"(sequential {self.span_sequential})"
             )
+        lanes = "every P >= 1" if self.p is None else f"{self.p} lane(s)"
         return (
-            f"{self.label}: {status} — {-(-c.p // c.tile)} tile(s) partition "
-            f"{c.p} lane(s), {self.accesses_per_lane} access(es)/lane with "
+            f"{self.label}: {status} — {c.tile}-lane tiles partition "
+            f"{lanes}, {self.accesses_per_lane} access(es)/lane with "
             f"{self.elided_loads} load(s) forwarded, "
             f"{self.spill_loads}/{self.spill_saves} slab load/save(s) per "
             f"lane{span}"
@@ -280,8 +296,10 @@ _KERNEL = "repro_bulk_kernel"
 
 #: Per schedule constant: the rule a wrong value breaks and what it is.
 #: Geometry (the address maps) is ``OBL-S703``; shape is ``OBL-S701``.
+#: ``P`` is the kernel's argument, never a macro: a ``#define P`` shadows
+#: the lane count the caller passes.
 _MACRO_RULES = {
-    "P": ("OBL-S703", "lane count"),
+    "P": ("OBL-S703", "lane count, which is the kernel's argument"),
     "WORDS": ("OBL-S703", "slab lane width"),
     "OUT_WORDS": ("OBL-S703", "output row width (the declared words)"),
     "STRIDE": ("OBL-S703", "row stride"),
@@ -293,7 +311,7 @@ _MACRO_RULES = {
 }
 _DEFINE_RE = re.compile(r"^#define (\w+) (-?\d+)L?\b")
 _HEADER_RE = re.compile(
-    r"^/\* schedule: layout=(?P<layout>\w+) p=(?P<p>\d+) words=(?P<words>\d+) "
+    r"^/\* schedule: layout=(?P<layout>\w+) words=(?P<words>\d+) "
     r"stride=(?P<stride>\d+) chunk=(?P<chunk>\d+) tile=(?P<tile>\d+) "
     r"threads=(?P<threads>\d+) \*/$"
 )
@@ -395,7 +413,7 @@ def _body_slot(ci: int) -> str:
 
 def _macro_values(config: ScheduleConfig, nregs: int) -> Dict[str, int]:
     return {
-        "P": config.p, "WORDS": config.words, "OUT_WORDS": config.out_words,
+        "WORDS": config.words, "OUT_WORDS": config.out_words,
         "STRIDE": config.stride, "TILE": config.tile,
         "SLAB": config.slab_words, "NREGS": nregs, "THREADS": config.threads,
         "NREAD": len(config.imap),
@@ -419,7 +437,6 @@ def _render_frame(
     c = config
     at = _SLAB_INDEX[c.layout]
     tails = {
-        "P": "L            /* lanes */",
         "WORDS": "L    /* words per lane (slab lane width) */",
         "OUT_WORDS": "L  /* output row width: the declared words */",
         "STRIDE": "L  /* slab lane stride of row layouts */",
@@ -437,7 +454,7 @@ def _render_frame(
 
     frame = rows(
         "OBL-S703", "the schedule header",
-        f"/* schedule: layout={c.layout} p={c.p} words={c.words} "
+        f"/* schedule: layout={c.layout} words={c.words} "
         f"stride={c.stride} chunk={c.chunk} tile={c.tile} "
         f"threads={c.threads} */",
     )
@@ -463,7 +480,7 @@ def _render_frame(
     frame += [_Line(text, rule, what) for rule, what, text in (
         ("OBL-S701", "the kernel signature",
          f"void {_KERNEL}(const {ctype} *restrict in, long k, "
-         f"{ctype} *restrict out) {{"),
+         f"{ctype} *restrict out, long P) {{"),
         ("OBL-S701", prefix,
          "    long r = 0;  /* read-first slots [0, r) gather input words */"),
         ("OBL-S701", prefix, "    while (IMAP[r] < k) ++r;"),
@@ -805,7 +822,7 @@ def _frame_change(
                 want = getattr(config, key)
                 if got == str(want):
                     continue
-                if key in ("layout", "p", "words", "stride"):
+                if key in ("layout", "words", "stride"):
                     found.append(("OBL-S703", f"emitter claims {key}={got} but "
                                               f"the engine allocates for "
                                               f"{key}={want}"))
@@ -1289,13 +1306,16 @@ def certify_bulk_schedule(
     *,
     label: Optional[str] = None,
     w: Optional[int] = None,
+    p: Optional[int] = None,
 ) -> Tuple[List[Diagnostic], List[str], Optional[ScheduleProof]]:
     """Certify one emitted bulk kernel's schedule against ``config``.
 
     Returns ``(diagnostics, certificates, proof)``; the proof is ``None``
     when the source has no schedule header or not the requested chunk
-    functions, so no frame can be laid over it.  ``w`` enables the span
-    cross-check against :func:`repro.machine.analytic.tiled_stage_count`.
+    functions, so no frame can be laid over it.  The certificate holds
+    for every lane count the kernel is called with.  ``p`` and ``w``
+    together enable the span cross-check of ``p`` lanes against
+    :func:`repro.machine.analytic.tiled_stage_count`.
     """
     name = program.name
     c = config
@@ -1330,14 +1350,17 @@ def certify_bulk_schedule(
                          f"source defines {defined}")
         return out, certs, None
 
-    # 2. The lemma's hypotheses on the request: a positive lane count and
-    #    tile, a row stride that keeps slab lanes apart, and the geometry
-    #    of the program's compaction, whose input map is increasing inside
+    # 2. The lemma's hypotheses on the request: a positive tile (and a
+    #    positive lane count when one is priced: the engine passes P >= 1),
+    #    a row stride that keeps slab lanes apart, and the geometry of the
+    #    program's compaction, whose input map is increasing inside
     #    [0, memory_words) and at most WORDS long by construction (its
     #    renaming is proven at build time by the equivalence prover; the
     #    bodies are replayed against it).
-    if c.p < 1 or c.tile < 1:
-        fail("OBL-S701", f"P={c.p} and TILE={c.tile} must both be positive")
+    if c.tile < 1:
+        fail("OBL-S701", f"TILE={c.tile} must be positive")
+    if p is not None and p < 1:
+        fail("OBL-S701", f"P={p} must be positive")
     if c.layout == "row" and c.stride < c.words:
         fail("OBL-S703", f"row stride {c.stride} is smaller than the "
                          f"program's {c.words} words — slab lanes overlap")
@@ -1360,7 +1383,6 @@ def certify_bulk_schedule(
     _certify_preamble(lines[:start], ctype, fail)
     bodies = _certify_frame(lines, start, frame, c, values, fail)
     frame_ok = not out
-    tiles = -(-c.p // c.tile)
     if frame_ok:
         lane_map = (
             f"a·TILE+jj over {c.words}×{c.tile}" if c.layout == "column"
@@ -1389,8 +1411,9 @@ def certify_bulk_schedule(
             f"stream_word, then fences"
         )
         certs.append(
-            f"{label}: race freedom — {tiles} tile(s) partition lanes "
-            f"[0, {c.p}) disjointly, each tile scatters only its own "
+            f"{label}: race freedom — for every P >= 1, the tiles of "
+            f"{c.tile} lane(s) partition [0, P) disjointly, each tile "
+            f"scatters only its own "
             f"output rows, both slabs are tile-private, and "
             f"schedule(static) ranges over whole tiles: distinct threads' "
             f"write sets are disjoint and no cross-tile read-after-write "
@@ -1423,17 +1446,17 @@ def certify_bulk_schedule(
             f"aliasing store between)"
         )
 
-    # 5. Span cross-check: the lemma's tiles (⌊P/TILE⌋ full ones and a
-    #    tail of P mod TILE lanes) priced in stages of w must match the
-    #    analytic closed form.
+    # 5. Span cross-check: the lemma's tiles of p lanes (⌊p/TILE⌋ full ones
+    #    and a tail of p mod TILE lanes) priced in stages of w must match
+    #    the analytic closed form.
     span_tiled = span_seq = None
-    if w is not None and w >= 1 and frame_ok:
+    if w is not None and w >= 1 and p is not None and frame_ok:
         from ..machine.analytic import tiled_stage_count
 
-        full, tail = divmod(c.p, c.tile)
+        full, tail = divmod(p, c.tile)
         derived = full * -(-c.tile // w) + -(-tail // w)
-        closed = tiled_stage_count(c.p, w, c.tile)
-        span_seq = -(-c.p // w)
+        closed = tiled_stage_count(p, w, c.tile)
+        span_seq = -(-p // w)
         if derived != closed:
             fail("OBL-S701", f"span cross-check failed — the lemma's tile "
                              f"decomposition occupies {derived} stage(s) of "
@@ -1441,8 +1464,8 @@ def certify_bulk_schedule(
         else:
             span_tiled = derived
             certs.append(
-                f"{label}: span cross-check — tiled issue occupies "
-                f"{derived} stage(s) of w={w} "
+                f"{label}: span cross-check — at p={p}, tiled issue "
+                f"occupies {derived} stage(s) of w={w} "
                 f"(sequential optimum {span_seq}"
                 + (", tile-aligned)" if derived == span_seq else
                    "; ragged tile tails add partial warps)")
@@ -1453,6 +1476,7 @@ def certify_bulk_schedule(
         program=name,
         label=label,
         config=c,
+        p=p,
         accesses_per_lane=program.trace_length,
         elided_loads=elided,
         spill_loads=sloads,
@@ -1477,7 +1501,9 @@ def certify_native_schedule(
 
     The one-call entry point behind ``repro certify-schedule``, the
     ``--schedule`` lint family and the autotuner's refuse-uncertified
-    gate.  Unsupported dtypes/arrangements yield an ``OBL-N602`` note.
+    gate.  The certificate covers every lane count; the arrangement's
+    ``p`` is the one the span cross-check prices.  Unsupported
+    dtypes/arrangements yield an ``OBL-N602`` note.
     """
     try:
         config = schedule_config(
@@ -1492,7 +1518,9 @@ def certify_native_schedule(
             program=program.name,
         )
         return [note], [], None
-    return certify_bulk_schedule(program, source, config, w=w)
+    return certify_bulk_schedule(
+        program, source, config, w=w, p=int(arrangement.p)
+    )
 
 
 def certify_schedule_family(
@@ -1536,12 +1564,12 @@ def certify_schedule_family(
     if proofs:
         spans = {pr.span_tiled for pr in proofs if pr.span_tiled is not None}
         span = (
-            f"; spans {sorted(spans)} stage(s)" if spans else ""
+            f"; spans {sorted(spans)} stage(s) at p={arr.p}" if spans else ""
         )
         certs.append(
             f"schedule: {len(proofs)} (tile, threads) "
             f"configuration(s) certified on the "
-            f"{getattr(arr, 'name', arr)} arrangement at p={arr.p} — "
+            f"{getattr(arr, 'name', arr)} arrangement for every P — "
             f"trace-preserving, race-free, forwarding-sound{span}"
         )
     return out, certs

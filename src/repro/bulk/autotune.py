@@ -20,7 +20,10 @@ count, not on the program's semantics (any choice is bit-identical).
 kernels and persists the winner next to the kernel cache, content-addressed
 by the program/geometry fingerprint, so every later
 :class:`~repro.bulk.engine.BulkExecutor` for that ``(program, p, layout)``
-picks it up for free (:func:`load_tuning`).
+picks it up for free (:func:`load_tuning`).  The kernel itself takes the
+lane count as an argument and is shared by every ``p``, but a tuning keeps
+``p`` in its key: it is a measurement at one ``p``, and the best tile and
+thread count at 64 lanes need not be the best at 8192.
 """
 
 from __future__ import annotations
@@ -170,7 +173,8 @@ class NativeTuning:
 
 
 def tuning_fingerprint(program: Program, arrangement) -> str:
-    """Content address of a tuning entry: program text + dtype + geometry."""
+    """Content address of a tuning entry: program text + dtype + geometry,
+    lane count included (a tuning is a measurement at one ``p``)."""
     parts = [
         program.name,
         str(program.dtype),

@@ -515,7 +515,9 @@ class BulkExecutor:
             # with this geometry reuses it instead of reallocating.
             arena.release(self._mem)
         self._mem = None
-        self._image = self._store = None
+        # The loaded inputs may be a view of the caller's buffer (a shared
+        # memory slot): holding it would keep that buffer exported.
+        self._inputs = self._image = self._store = None
         self._closed = True
 
     @property

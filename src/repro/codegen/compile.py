@@ -337,16 +337,16 @@ def slab_bytes(program: Program, arrangement, tile: int) -> int:
 
 @dataclass
 class CompiledBulkKernel:
-    """A compiled whole-program bulk kernel bound to one ``(p, layout)``.
+    """A compiled whole-program bulk kernel bound to one layout.
 
     :meth:`run_bulk` reads the row-major ``(p, k)`` inputs and fills a
     row-major ``(p, OUT_WORDS)`` output image of the program's declared
     output words — gather, execute and scatter in one call, with no
-    arranged buffer in between.
+    arranged buffer in between.  ``p`` is the inputs' row count: one
+    kernel serves every lane count.
     """
 
     program: Program
-    p: int
     _lib: ctypes.CDLL
     cache_key: str = ""
     tile: int = BULK_DEFAULT_TILE
@@ -354,7 +354,9 @@ class CompiledBulkKernel:
 
     def __post_init__(self) -> None:
         self._kernel = getattr(self._lib, BULK_KERNEL_SYMBOL)
-        self._kernel.argtypes = [ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p]
+        self._kernel.argtypes = [
+            ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+        ]
         self._kernel.restype = None
 
     def close(self) -> None:
@@ -400,8 +402,8 @@ class CompiledBulkKernel:
         :attr:`~repro.trace.ir.Program.output_words`.
 
         Input words ``[k, memory_words)`` start at zero.  Both arrays must
-        be C-contiguous in the program dtype; ``out`` is overwritten
-        entirely.
+        be C-contiguous in the program dtype, with the same number ``p``
+        of rows; ``out`` is overwritten entirely.
         """
         if self._kernel is None:
             raise ExecutionError(
@@ -409,23 +411,26 @@ class CompiledBulkKernel:
             )
         words = self.program.memory_words
         out_words = self.program.output_words
+        p = inputs.shape[0] if inputs.ndim == 2 else 0
         for what, arr in (("inputs", inputs), ("out", out)):
             if (
                 arr.dtype != self.program.dtype
                 or not arr.flags["C_CONTIGUOUS"]
                 or arr.ndim != 2
-                or arr.shape[0] != self.p
+                or arr.shape[0] != p
+                or p < 1
             ):
                 raise ExecutionError(
-                    f"{what} must be a C-contiguous {self.program.dtype} "
-                    f"array of {self.p} rows, got {arr.dtype} {arr.shape}"
+                    f"inputs and out must be C-contiguous {self.program.dtype} "
+                    f"arrays of the same p >= 1 rows, got {what} "
+                    f"{arr.dtype} {arr.shape}"
                 )
         if inputs.shape[1] > words or out.shape[1] != out_words:
             raise ExecutionError(
                 f"need at most {words} input words and {out_words}-word "
                 f"output rows, got {inputs.shape[1]} and {out.shape[1]}"
             )
-        self._kernel(inputs.ctypes.data, inputs.shape[1], out.ctypes.data)
+        self._kernel(inputs.ctypes.data, inputs.shape[1], out.ctypes.data, p)
 
 
 def compile_bulk(
@@ -438,12 +443,18 @@ def compile_bulk(
 ) -> CompiledBulkKernel:
     """Compile the native bulk kernel for ``program`` on ``arrangement``.
 
-    The arrangement fixes the layout *and* ``p`` — both are baked into the
-    source as constants (that is what lets the compiler vectorise, see
-    :func:`repro.codegen.c_emitter.emit_bulk_c`), so one kernel serves one
-    ``(program, layout, p, tile, threads)`` tuple.  Builds are
-    content-addressed: the first call pays the compiler, every later call
-    (any process) loads the cached shared object.
+    The arrangement fixes the layout (and a padded row's stride), which
+    is baked into the source with the tile and thread count as constants
+    (that is what lets the compiler vectorise, see
+    :func:`repro.codegen.c_emitter.emit_bulk_c`).  The lane count is not:
+    the kernel takes ``p`` from the inputs' row count, so one kernel
+    serves one ``(program, layout, stride, tile, threads, chunk)`` tuple
+    at every ``p``.  Builds are content-addressed: the first call pays the
+    compiler, every later call (any process) loads the cached shared
+    object, and the source is emitted once per program object and
+    schedule (:meth:`~repro.analysis.schedule.ScheduleConfig.emit`), so
+    a build at a second lane count pays neither the emitter nor the
+    compiler.  Each call still opens its own library handle.
 
     The parameters resolve through
     :func:`repro.analysis.schedule.schedule_config`, and the source is
@@ -494,7 +505,6 @@ def compile_bulk(
         lib, key = _load(source, fallback)
     return CompiledBulkKernel(
         program=program,
-        p=arrangement.p,
         _lib=lib,
         cache_key=key,
         tile=config.tile,

@@ -220,7 +220,7 @@ class SlotArena:
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - a live view escaped
-            return
+            pass  # the mapping outlives the view; the name must not
         if self.owner:
             try:
                 self.shm.unlink()

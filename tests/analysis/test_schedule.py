@@ -209,7 +209,7 @@ class TestEmitterHeader:
             prog, make_arrangement("column", prog.memory_words, 32), tile=8
         )
         source = emit_bulk_c(
-            prog, "column", p=32, stride=0, chunk=config.chunk,
+            prog, "column", stride=0, chunk=config.chunk,
             tile=8, threads=1,
         )
         assert "/* schedule: layout=column" in source

@@ -28,7 +28,8 @@ lemma's:
 
 The three preprocessor lines around ``#pragma omp`` are the work-sharing
 that clause 5 models; they are the only lines not executed.  ``IMAP`` is
-read from the frame's own table line.
+read from the frame's own table line, and ``P`` is passed through the
+kernel signature's own parameter, as the engine passes it.
 """
 
 import itertools
@@ -73,7 +74,7 @@ _LEN = re.compile(r"^long len = \((.+)\) \? (.+) : (.+);$")
 _CALL = re.compile(r"^chunk_(\d+)\(slab, regs\);$")
 _STREAM = re.compile(r"^stream_word\(&out\[(.+)\], (.+)\);$")
 _STORE = re.compile(r"^(\w+)\[(.+)\] = (.+);$")
-_KERNEL = re.compile(r"^void repro_bulk_kernel\(.*\) \{$")
+_KERNEL = re.compile(r"^void repro_bulk_kernel\((.*)\) \{$")
 
 
 def _expr(c):
@@ -132,7 +133,7 @@ def _driver(layout, words, slots, imap, memory_words):
     """The frame's tile driver, compiled to a Python function, and the
     ``IMAP`` its table line declares."""
     config = ScheduleConfig(
-        layout=layout, p=1, words=words, tile=1, chunk=1, threads=2,
+        layout=layout, words=words, tile=1, chunk=1, threads=2,
         stride=0, outputs=_runs(slots), imap=tuple(imap),
         memory_words=memory_words,
     )
@@ -141,7 +142,10 @@ def _driver(layout, words, slots, imap, memory_words):
     )]
     table = next(_IMAP.match(text) for text in frame if _IMAP.match(text))
     start = next(i for i, text in enumerate(frame) if _KERNEL.match(text))
-    python = ["def kernel(in_, k, out, order):"]
+    # The kernel's parameters, by name: the lane count P is one of them.
+    params = [_expr(param.split()[-1])
+              for param in _KERNEL.match(frame[start]).group(1).split(",")]
+    python = [f"def kernel({', '.join(params)}, order):"]
     for text in frame[start + 1:]:
         c = _COMMENT.sub("", text).strip()
         if c.startswith("#") or c == "}":
@@ -205,7 +209,7 @@ class _Run:
             for a in range(self.k):
                 in_[lane * self.k + a] = ("in", lane, a)
         out = Cells(self.P * self.out_words, "out")
-        kernel(in_, self.k, out, order)
+        kernel(in_, self.k, out, self.P, order)
         return out.data
 
     def check(self, out):
@@ -263,7 +267,7 @@ def _check_lemma(layout, words, stride, slots, imap, memory_words, ks):
         for TILE in range(1, 5):
             slab = (words if layout == "column" else stride) * TILE
             env = dict(
-                P=P, TILE=TILE, WORDS=words, STRIDE=stride, SLAB=slab,
+                TILE=TILE, WORDS=words, STRIDE=stride, SLAB=slab,
                 NREGS=3, THREADS=2, OUT_WORDS=len(slots), NREAD=len(imap),
                 IMAP=table, Cells=Cells,
             )
@@ -334,7 +338,8 @@ def test_the_frame_satisfies_the_lemma_under_compaction(
 
 def test_the_translation_covers_the_whole_driver():
     source, _ = _driver("column", 3, (2, 0), (1, 2), 4)
-    for form in ("order(range(0, P, TILE))", "slab = Cells(SLAB", "regs = Cells",
+    for form in ("def kernel(in_, k, out, P, order):",
+                 "order(range(0, P, TILE))", "slab = Cells(SLAB", "regs = Cells",
                  "if len_ < TILE:", "chunk(1, slab, regs", "stream_word(out",
                  "fence(j0)", "in_[(j0 + jj) * k + IMAP[a]]",
                  "while IMAP[r] < k:", "range(r, WORDS", "OUT_WORDS + a - 2,",

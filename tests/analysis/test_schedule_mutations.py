@@ -21,6 +21,15 @@ is rejected with its expected ``OBL-S70x`` rule ID:
 * chunk calls reordered in the driver                      -> ``OBL-S701``
 * the per-tile register slab zeroing skipped               -> ``OBL-S701``
 
+and, on the lane count, which is the kernel's argument
+(:class:`TestRuntimeLaneCount`):
+
+* a baked ``#define P 64L`` beside the argument            -> ``OBL-S703``
+* a shadowing ``#define P`` under ``#if 0``                -> ``OBL-S703``
+* a tile loop bounded by a literal instead of ``P``        -> ``OBL-S702``
+* a tail ``len`` computed from a constant                  -> ``OBL-S701``
+* the ``long P`` parameter dropped from the signature      -> ``OBL-S701``
+
 and, hidden from the compiler by the preprocessor
 (:class:`TestPreprocessorHoles`):
 
@@ -335,6 +344,55 @@ class TestSeededScheduleBugs:
         )
         rules = _rules(program, mutated, config)
         assert "OBL-S701" in rules
+
+
+class TestRuntimeLaneCount:
+    """``P`` is the kernel's last parameter: a source that fixes the lane
+    count at compile time, wherever it does so, is not the frame."""
+
+    def test_baked_lane_count_beside_the_argument(self, clean):
+        program, source, config = clean
+        mutated = _mutate(source, "#define WORDS", f"#define P {P}L\n#define WORDS")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S703"]
+        assert "redefines P" in diags[0].message
+
+    def test_shadowing_lane_count_under_if0(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source, "void repro_bulk_kernel(",
+            f"#if 0\n#define P {P}L\n#endif\nvoid repro_bulk_kernel(",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert any(
+            d.rule_id == "OBL-S703" and "redefines P" in d.message
+            for d in diags
+        )
+
+    def test_tile_loop_bounded_by_a_literal(self, clean):
+        program, source, config = clean
+        mutated = _mutate(source, "j0 < P;", f"j0 < {P};")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S702"]
+        assert "tile loop" in diags[0].message
+
+    def test_tail_length_from_a_constant(self, clean):
+        program, source, config = clean
+        mutated = _mutate(
+            source, "long len = (P - j0 < TILE) ? P - j0 : TILE;",
+            f"long len = ({P} - j0 < TILE) ? {P} - j0 : TILE;",
+        )
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S701"]
+        assert "tail length" in diags[0].message
+
+    def test_lane_count_parameter_dropped(self, clean):
+        program, source, config = clean
+        mutated = _mutate(source, "int64_t *restrict out, long P) {",
+                          "int64_t *restrict out) {")
+        diags, _, _ = certify_bulk_schedule(program, mutated, config)
+        assert [d.rule_id for d in diags] == ["OBL-S701"]
+        assert "kernel signature" in diags[0].message
 
 
 #: Words 0 and 2..3 of the four: two ranges.  Word 0 is read first and

@@ -9,16 +9,24 @@ re-import constraint doesn't apply, but fork is also simply the fast path.
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec
+from repro.codegen.compile import have_compiler
 from repro.errors import ServeError, ServerClosedError
 from repro.serve import BulkServer, ShardConfig, ShardedServer, router
 from repro.trace.builder import ProgramBuilder
 from repro.trace.interpreter import run_sequential
 from repro.trace.serialize import program_to_dict
+
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def _sequential(program, row: np.ndarray) -> np.ndarray:
@@ -174,6 +182,46 @@ class TestAdmissionAndLifecycle:
             ShardConfig(start_method="teleport")
         with pytest.raises(ServeError):
             ShardConfig(fault=("burn", 0, 0))
+
+
+    @pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+    def test_native_shard_stops_without_pinned_shared_memory(self, tmp_path):
+        # A full batch runs the native kernel straight out of the slot;
+        # closing the executor must let the worker unmap the segment.
+        # Otherwise SharedMemory.__del__ reports "Exception ignored …
+        # BufferError" on the worker's stderr as the worker exits.  A
+        # fresh interpreter, as a deployment runs it.
+        script = textwrap.dedent("""
+            import asyncio
+            import numpy as np
+            from repro.algorithms.registry import get_spec
+            from repro.serve import ShardedServer
+
+            spec = get_spec("prefix-sums")
+            rows = spec.make_inputs(np.random.default_rng(0), 16, 32)
+
+            async def main():
+                async with ShardedServer(
+                    shards=1, backend="native", max_batch=32, max_linger=0.5,
+                ) as server:
+                    outs = await asyncio.gather(*(
+                        server.submit("prefix-sums", row, n=16) for row in rows
+                    ))
+                    stats = server.stats()
+                assert stats["histograms"]["batch.occupancy"]["max"] == 1.0
+                return outs
+
+            outs = asyncio.run(main())
+            print(len(outs))
+        """)
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path),
+                   PYTHONPATH=os.path.abspath(REPO_SRC))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["32"]
+        assert "Exception ignored" not in done.stderr
+        assert "BufferError" not in done.stderr
 
 
 class TestPlacementAndStats:

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import get_spec
+from repro.bulk import BulkExecutor
+from repro.codegen.compile import have_compiler
 from repro.errors import ShardError
 from repro.serve.shm import SlotArena
 
@@ -102,6 +105,49 @@ class TestLifecycle:
             assert again.input_view(0)[0, 0] == 3.0
         finally:
             again.close()
+
+
+class TestReleaseAfterExecutors:
+    """A native executor gathers straight out of a slot; once it is
+    closed, nothing it held may keep the segment exported."""
+
+    @pytest.mark.skipif(not have_compiler(), reason="no C compiler")
+    def test_closed_native_executor_releases_the_mapping(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = get_spec("prefix-sums")
+        program = spec.build(4)
+        geo = dict(slots=2, max_batch=8, words=program.memory_words,
+                   out_words=program.output_words)
+        owner = SlotArena.create(dtype=program.dtype, **geo)
+        shard = SlotArena.attach(owner.name, dtype=program.dtype, **geo)
+        executor = BulkExecutor(program, 8, backend="native")
+        try:
+            shard.input_view(0)[:] = spec.make_inputs(
+                np.random.default_rng(0), 4, 8)
+            # Full occupancy: the kernel gathers from the slot itself.
+            executor.run_trimmed_into(
+                shard.input_view(0, 8, program.memory_words),
+                shard.output_view(0, 8),
+            )
+        finally:
+            executor.close()
+            shard.close()
+            owner.close()
+        assert shard.shm._mmap is None  # the mapping is gone, not pinned
+        assert owner.shm._mmap is None
+
+    def test_owner_unlinks_even_while_a_view_pins_the_mapping(self):
+        arena = SlotArena.create(slots=1, max_batch=2, words=2,
+                                 dtype=np.float64, out_words=2)
+        name = arena.name
+        escaped = arena.input_view(0)
+        arena.close()
+        with pytest.raises(ShardError):
+            SlotArena.attach(name, 1, 2, 2, np.float64, out_words=2)
+        del escaped
+        arena.shm.close()  # the mapping goes with the last view
 
 
 class TestOutputChecksum:
