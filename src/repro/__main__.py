@@ -140,47 +140,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_autotune(args) -> int:
-    from .bulk.arrangement import make_arrangement
-    from .bulk.autotune import autotune_native, tuning_path
-    from .codegen.compile import have_compiler, simd_isa
-
-    if not have_compiler():
-        print("error: autotuning needs a C compiler on PATH", file=sys.stderr)
-        return 2
-    spec = get_spec(args.algorithm)
-    program = spec.build(args.n)
-    rng = np.random.default_rng(args.seed)
-    inputs = spec.make_inputs(rng, args.n, args.p)
-    tiles = tuple(args.tiles) if args.tiles else None
-    threads = tuple(args.threads) if args.threads else None
-    kwargs = {}
-    if tiles is not None:
-        kwargs["tiles"] = tiles
-    tuning = autotune_native(
-        program, args.p, args.arrangement,
-        threads=threads, trials=args.trials, inputs=inputs,
-        persist=not args.dry_run, certify=not args.no_certify, **kwargs,
-    )
-    print(f"autotuned {spec.name} (n={args.n}, p={args.p}, "
-          f"{args.arrangement}-wise) on {simd_isa()}:")
-    for key in sorted(tuning.scores, key=tuning.scores.__getitem__):
-        tile_s, _, threads_s = key.partition("x")
-        marker = "  <- winner" if (
-            int(tile_s) == tuning.tile and int(threads_s) == tuning.threads
-        ) else ""
-        print(f"  tile {tile_s:>4} x {threads_s} thread(s): "
-              f"{tuning.scores[key] * 1e3:8.3f} ms{marker}")
-    if args.dry_run:
-        print("dry run: choice not persisted")
-    else:
-        arrangement = make_arrangement(
-            args.arrangement, program.memory_words, args.p
-        )
-        print(f"persisted to {tuning_path(program, arrangement)}")
-    return 0
-
-
 def cmd_lint(args) -> int:
     import json
 
@@ -321,42 +280,6 @@ def cmd_autofix(args) -> int:
 
     params = _machine(args)
 
-    if args.tile_shapes:
-        # The prove gate for native-kernel shapes, surfaced standalone:
-        # certify the autotuner's default grid for the named targets.
-        from .autofix import propose_tile_shapes, verify_tile_shape
-        from .bulk.autotune import _DEFAULT_TILES
-
-        if args.all:
-            specs = [(s, n) for s in all_specs() for n in s.sizes]
-        else:
-            if args.algorithm is None or args.n is None:
-                print(
-                    "error: name an algorithm and a size, or pass --all",
-                    file=sys.stderr,
-                )
-                return 2
-            specs = [(get_spec(args.algorithm), args.n)]
-        rejected = 0
-        total = 0
-        for spec, n in specs:
-            program = spec.build(n)
-            for proposal in propose_tile_shapes(
-                program,
-                arrangement=args.arrangement,
-                p=params.p,
-                tiles=_DEFAULT_TILES,
-                threads=(1, 4),
-            ):
-                verdict = verify_tile_shape(proposal, w=params.w)
-                total += 1
-                if not verdict.accepted:
-                    rejected += 1
-                if args.verbose or not verdict.accepted:
-                    print(f"{program.name}: {verdict.describe()}")
-        print(f"\n{total} tile-shape proposal(s): {total - rejected} "
-              f"certified, {rejected} rejected")
-        return 3 if rejected else 0
     if args.all:
         names, sizes = None, None
     else:
@@ -815,36 +738,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument("--native-tile", type=int, default=None, metavar="LANES",
                    help="native backend: lanes per tile slab (default: "
-                   "REPRO_NATIVE_TILE, then the persisted autotuner choice)")
+                   "REPRO_NATIVE_TILE, then the library default)")
     p.add_argument("--native-threads", type=int, default=None, metavar="N",
                    help="native backend: OpenMP threads over lane tiles "
-                   "(default: REPRO_NATIVE_THREADS, then the autotuner; "
+                   "(default: REPRO_NATIVE_THREADS, then 1; "
                    "degrades to 1 without OpenMP)")
     p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser(
-        "autotune",
-        help="measure tile x threads candidates for the native backend "
-        "and persist the winner next to the kernel cache",
-    )
-    add_algo(p)
-    p.add_argument("--p", type=int, default=8192, help="lanes to tune for")
-    p.add_argument("--arrangement", choices=["row", "column"],
-                   default="column")
-    p.add_argument("--tiles", type=int, nargs="+", default=None,
-                   metavar="LANES", help="candidate tile sizes")
-    p.add_argument("--threads", type=int, nargs="+", default=None,
-                   metavar="N", help="candidate thread counts")
-    p.add_argument("--trials", type=int, default=3,
-                   help="timed executions per candidate (best is kept)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dry-run", action="store_true",
-                   help="measure and report without persisting the choice")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip the static schedule certification gate "
-                   "(docs/SCHEDULE.md); uncertified grid points are "
-                   "otherwise refused before measurement")
-    p.set_defaults(fn=cmd_autotune)
 
     p = sub.add_parser(
         "lint",
@@ -875,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip the emitted-code certification")
     p.add_argument("--schedule", action="store_true",
                    help="also certify the native tiled/threaded kernel "
-                   "schedule over the default autotune grid: trace "
+                   "schedule over the default tile grid: trace "
                    "preservation, race freedom, forwarding soundness "
                    "(OBL-S70x; docs/SCHEDULE.md)")
     p.add_argument("--quiet", action="store_true",
@@ -901,7 +800,7 @@ def main(argv: list[str] | None = None) -> int:
                    choices=["row", "column", "padded-row"], default="column")
     p.add_argument("--tile", type=int, default=None, metavar="LANES",
                    help="certify one tile size (default: the full "
-                   "autotune grid)")
+                   "default tile grid)")
     p.add_argument("--threads", type=int, default=None, metavar="N",
                    help="certify one thread count (with --tile)")
     p.set_defaults(fn=cmd_certify_schedule)
@@ -932,12 +831,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="CI gate (implies --dry-run): exit 1 if any "
                    "proven cost-improving fix is left unapplied or an "
                    "installed promotion regresses certified cost")
-    p.add_argument("--tile-shapes", action="store_true",
-                   help="instead of IR rewrites, run the autotuner's "
-                   "default tile/thread grid through the schedule "
-                   "certifier (the prove gate native-kernel shapes must "
-                   "pass before the autotuner may measure or persist "
-                   "them; docs/SCHEDULE.md)")
     p.add_argument("--canary-p", type=int, default=None, metavar="LANES",
                    help="canary batch size (default: --p, the priced "
                    "configuration)")

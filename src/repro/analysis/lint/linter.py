@@ -12,7 +12,7 @@
    (:mod:`.cost`) — when machine parameters are supplied,
 4. emitted-code certification of every C/CUDA emission (:mod:`.codegen_lint`),
 5. — opt-in — schedule certification of the native tiled/threaded kernels
-   over the default autotune grid (:mod:`repro.analysis.schedule`).
+   over the default tile grid (:mod:`repro.analysis.schedule`).
 
 Structural errors short-circuit families 2–4: a program whose addresses are
 out of bounds cannot be optimised, priced, or emitted (each of those paths
@@ -158,7 +158,7 @@ def lint_program(
     emissions); ``input_words`` enables the initialisation rules;
     ``passes``/``codegen`` gate the corresponding analysis families.
     ``schedule`` additionally certifies the native tiled/threaded kernel
-    schedule over the default autotune grid (``OBL-S70x``); it needs
+    schedule over the default tile grid (``OBL-S70x``); it needs
     ``params`` for the lane count ``p`` and warp width ``w`` — without
     them an ``OBL-N602`` note records the skip.
     """

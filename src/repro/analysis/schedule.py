@@ -96,11 +96,11 @@ __all__ = [
     "DEFAULT_THREAD_GRID",
 ]
 
-#: Default certification grid — one entry per candidate tile size the
-#: autotuner measures (kept in sync with ``bulk.autotune._DEFAULT_TILES``
-#: by a test; slab-sized tiles: the slab is ``WORDS x tile`` words,
-#: ``WORDS`` the compaction's width) crossed with a single- and a
-#: multi-thread configuration.
+#: Default certification grid — slab sizes around the library default
+#: tile (:data:`~repro.codegen.compile.BULK_DEFAULT_TILE`, 8 lanes; the
+#: slab is ``WORDS x tile`` words, ``WORDS`` the compaction's width), from
+#: half of it to four times it, crossed with a single- and a multi-thread
+#: configuration.
 #: The race proof is thread-count-free (any static partition of disjoint
 #: tiles is safe), so certifying one ``threads > 1`` point per tile
 #: covers the whole thread axis; the grid still includes both so a
@@ -1499,11 +1499,10 @@ def certify_native_schedule(
 ) -> Tuple[List[Diagnostic], List[str], Optional[ScheduleProof]]:
     """Emit the native bulk kernel for one configuration and certify it.
 
-    The one-call entry point behind ``repro certify-schedule``, the
-    ``--schedule`` lint family and the autotuner's refuse-uncertified
-    gate.  The certificate covers every lane count; the arrangement's
-    ``p`` is the one the span cross-check prices.  Unsupported
-    dtypes/arrangements yield an ``OBL-N602`` note.
+    The one-call entry point behind ``repro certify-schedule`` and the
+    ``--schedule`` lint family.  The certificate covers every lane count;
+    the arrangement's ``p`` is the one the span cross-check prices.
+    Unsupported dtypes/arrangements yield an ``OBL-N602`` note.
     """
     try:
         config = schedule_config(

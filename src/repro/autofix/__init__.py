@@ -26,25 +26,11 @@ package *applies* them, closing the loop over the existing layers:
    shard) consults the store, so promoted kernels transparently replace
    cached incumbents.
 
-The same propose → prove → canary → promote shape also gates the native
-backend's tile shapes: :func:`~repro.autofix.proposer.propose_tile_shapes`
-materialises the autotuner's candidate grid and
-:func:`~repro.autofix.verify.verify_tile_shape` is the prove stage — the
-static schedule certifier (``docs/SCHEDULE.md``) — so the autotuner only
-measures (canary) and persists (promote) schedules that are proven
-trace-preserving, race-free and forwarding-sound.
-
 See ``docs/AUTOFIX.md`` for the promotion state machine and failure modes.
 """
 
 from .pipeline import AutofixOutcome, autofix_program, autofix_registry
-from .proposer import (
-    FIXABLE_RULES,
-    Proposal,
-    TileShapeProposal,
-    propose_fixes,
-    propose_tile_shapes,
-)
+from .proposer import FIXABLE_RULES, Proposal, propose_fixes
 from .rollout import CanaryResult, rollout_candidate
 from .store import (
     Promotion,
@@ -54,7 +40,7 @@ from .store import (
     promotion_store,
     save_promotions,
 )
-from .verify import ShapeVerdict, Verdict, verify_proposal, verify_tile_shape
+from .verify import Verdict, verify_proposal
 
 __all__ = [
     "AutofixOutcome",
@@ -62,9 +48,7 @@ __all__ = [
     "autofix_registry",
     "FIXABLE_RULES",
     "Proposal",
-    "TileShapeProposal",
     "propose_fixes",
-    "propose_tile_shapes",
     "CanaryResult",
     "rollout_candidate",
     "Promotion",
@@ -73,8 +57,6 @@ __all__ = [
     "program_fingerprint",
     "promotion_store",
     "save_promotions",
-    "ShapeVerdict",
     "Verdict",
     "verify_proposal",
-    "verify_tile_shape",
 ]

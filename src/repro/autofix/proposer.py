@@ -39,9 +39,7 @@ from ..trace.ir import Const, Instruction, Load, Program, Store
 __all__ = [
     "FIXABLE_RULES",
     "Proposal",
-    "TileShapeProposal",
     "propose_fixes",
-    "propose_tile_shapes",
 ]
 
 #: Rules the proposer can materialise a candidate for, in the deterministic
@@ -78,78 +76,6 @@ class Proposal:
     arrangement: str
     description: str
     indices: Tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class TileShapeProposal:
-    """One candidate native-kernel shape for a ``(program, arrangement)``.
-
-    The autotuner's grid points, recast as autofix proposals: each shape
-    must survive :func:`~repro.autofix.verify.verify_tile_shape`'s static
-    schedule certification (the prove gate) before the autotuner may even
-    *measure* it (the canary), let alone persist it (the promotion).  Like
-    every proposal, a shape is untrusted until proven.
-
-    Attributes
-    ----------
-    program:
-        The program the kernel computes.
-    arrangement:
-        Arrangement name (``column``/``row``/``padded-row``).
-    p:
-        Lane count the kernel is sized for.
-    tile:
-        Lanes per tile (``None`` = the library default).
-    threads:
-        OpenMP thread count the schedule partitions across.
-    description:
-        Human-readable one-liner for reports and incidents.
-    """
-
-    program: Program
-    arrangement: str
-    p: int
-    tile: Optional[int]
-    threads: int
-    description: str
-
-    @property
-    def shape_key(self) -> str:
-        """The autotuner's score key for this shape (post-certification)."""
-        return f"{self.tile}x{self.threads}"
-
-
-def propose_tile_shapes(
-    program: Program,
-    *,
-    arrangement: str = "column",
-    p: int,
-    tiles: Sequence[int] = (),
-    threads: Sequence[int] = (1,),
-) -> List[TileShapeProposal]:
-    """Materialise the candidate tile/thread grid as proposals.
-
-    ``tiles``/``threads`` are the candidate axes (typically the
-    autotuner's); the cross product is emitted in deterministic
-    (tile, threads) order.  An empty ``tiles`` proposes the library
-    default tile once per thread count.
-    """
-    out: List[TileShapeProposal] = []
-    for tile in (tuple(tiles) or (None,)):
-        for t in threads:
-            out.append(TileShapeProposal(
-                program=program,
-                arrangement=arrangement,
-                p=int(p),
-                tile=None if tile is None else int(tile),
-                threads=int(t),
-                description=(
-                    f"kernel shape tile={'default' if tile is None else tile} "
-                    f"threads={t} "
-                    f"on {arrangement} at p={p}"
-                ),
-            ))
-    return out
 
 
 def _rewrite(

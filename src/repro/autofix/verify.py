@@ -43,9 +43,9 @@ from ..machine.params import MachineParams
 from ..trace.checker import check_program_semantics
 from ..trace.interpreter import run_sequential
 from ..trace.ir import Program
-from .proposer import Proposal, TileShapeProposal
+from .proposer import Proposal
 
-__all__ = ["ShapeVerdict", "Verdict", "verify_proposal", "verify_tile_shape"]
+__all__ = ["Verdict", "verify_proposal"]
 
 
 @dataclass(frozen=True)
@@ -86,90 +86,6 @@ class Verdict:
     def describe(self) -> str:
         status = "accept" if self.accepted else f"reject at {self.gate}"
         return f"{status}: {self.proposal.description} — {self.reason}"
-
-
-@dataclass(frozen=True)
-class ShapeVerdict:
-    """The schedule certifier's ruling on one tile-shape proposal.
-
-    The prove gate for native-kernel shapes: ``gate`` is ``"schedule"``
-    on rejection, ``"accepted"`` otherwise.  ``proof`` is the
-    :class:`~repro.analysis.schedule.ScheduleProof` when certification
-    got far enough to produce one; ``diagnostics`` carries the
-    ``OBL-S70x`` findings behind a rejection.
-    """
-
-    proposal: TileShapeProposal
-    accepted: bool
-    gate: str
-    reason: str
-    proof: Optional[object] = None
-    diagnostics: tuple = ()
-
-    def describe(self) -> str:
-        status = "accept" if self.accepted else f"reject at {self.gate}"
-        return f"{status}: {self.proposal.description} — {self.reason}"
-
-
-def verify_tile_shape(
-    proposal: TileShapeProposal,
-    *,
-    w: Optional[int] = None,
-) -> ShapeVerdict:
-    """Statically certify one native-kernel shape; never raises on rejection.
-
-    Emits the kernel for the proposal's exact ``(tile, threads, mode)``
-    and runs the full schedule certification — trace preservation, race
-    freedom, forwarding soundness (``docs/SCHEDULE.md``).  A shape that
-    cannot be certified (including configurations the backend does not
-    support) is rejected: the autotuner must not measure, and may never
-    persist, an unproven schedule.
-    """
-    from ..analysis.schedule import certify_native_schedule
-    from ..bulk.arrangement import make_arrangement
-
-    try:
-        arr = make_arrangement(
-            proposal.arrangement, proposal.program.memory_words, proposal.p
-        )
-    except Exception as exc:  # arrangement construction is user input
-        return ShapeVerdict(
-            proposal=proposal,
-            accepted=False,
-            gate="schedule",
-            reason=f"arrangement rejected: {exc}",
-        )
-    diagnostics, _, proof = certify_native_schedule(
-        proposal.program,
-        arr,
-        tile=proposal.tile,
-        threads=proposal.threads,
-        w=w,
-    )
-    if proof is None or not proof.certified:
-        blockers = [d for d in diagnostics if d.rule_id.startswith("OBL-S")]
-        reason = (
-            blockers[0].message
-            if blockers
-            else (diagnostics[0].message if diagnostics
-                  else "schedule could not be certified")
-        )
-        return ShapeVerdict(
-            proposal=proposal,
-            accepted=False,
-            gate="schedule",
-            reason=reason,
-            proof=proof,
-            diagnostics=tuple(diagnostics),
-        )
-    return ShapeVerdict(
-        proposal=proposal,
-        accepted=True,
-        gate="accepted",
-        reason=proof.describe(),
-        proof=proof,
-        diagnostics=tuple(diagnostics),
-    )
 
 
 def _reject(proposal: Proposal, gate: str, reason: str, **kw) -> Verdict:

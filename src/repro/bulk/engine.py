@@ -169,16 +169,16 @@ class BulkExecutor:
         width of the tile-private stack slab each tile gathers its inputs
         into (compact width x ``tile`` words: the slots the program keeps
         live, see :mod:`repro.trace.compact`).  ``None`` (default) falls
-        back to ``REPRO_NATIVE_TILE``, then to the persisted autotuner
-        choice for this ``(program, p, layout)``, then to the library
-        default.  Any tile — including non-divisors of ``p`` — is
-        bit-identical; only speed differs.  A tile whose slab exceeds the
+        back to ``REPRO_NATIVE_TILE``, then to the library default
+        (:func:`repro.codegen.compile.default_tile`).  Any tile —
+        including non-divisors of ``p`` — is bit-identical; only speed
+        differs.  A tile whose slab exceeds the
         kernel's stack budget (:data:`repro.codegen.compile.
         SLAB_BUDGET_BYTES`) raises :class:`~repro.errors.SlabBudgetError`
         (an :class:`ExecutionError`), guarded or not.
     threads:
         Native backend: OpenMP lane-parallel threads.  ``None`` falls back
-        to ``REPRO_NATIVE_THREADS`` / autotuner / 1.  Requests beyond the
+        to ``REPRO_NATIVE_THREADS``, then to 1.  Requests beyond the
         toolchain's capability (no ``-fopenmp``) degrade cleanly to a
         single-thread kernel.
     """
@@ -238,18 +238,11 @@ class BulkExecutor:
             try:
                 from ..codegen.compile import compile_bulk
 
-                tile_, threads_ = self.tile, self.threads
-                if tile_ is None and threads_ is None:
-                    from .autotune import load_tuning
-
-                    tuned = load_tuning(program, self.arrangement)
-                    if tuned is not None:
-                        tile_, threads_ = tuned.tile, tuned.threads
                 self._native = compile_bulk(
                     program,
                     self.arrangement,
-                    tile=tile_,
-                    threads=threads_ if threads_ is not None else 1,
+                    tile=self.tile,
+                    threads=self.threads or 1,
                 )
                 self.tile = self._native.tile
                 self.threads = self._native.threads

@@ -83,7 +83,8 @@ class BulkSession:
     tile / threads:
         Native-backend tuning knobs forwarded to the executor (``None``
         defers to ``REPRO_NATIVE_TILE`` / ``REPRO_NATIVE_THREADS``, then
-        the persisted autotuner choice) — see :class:`BulkExecutor`.
+        the library default tile and one thread) — see
+        :class:`BulkExecutor`.
 
     Example::
 

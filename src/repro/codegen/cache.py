@@ -346,8 +346,6 @@ class CacheStats:
     lru_evictions: int = 0  # entries dropped by the size cap
     compile_retries: int = 0  # extra compiler attempts after failures
     max_bytes: int = 0  # configured size cap (0 = uncapped)
-    autotune_entries: int = 0  # persisted tile/thread tunings alongside
-    autotune_bytes: int = 0  # their total size
 
     def as_dict(self) -> "dict[str, int]":
         """Counters as a deterministically ordered (sorted-key) mapping.
@@ -355,13 +353,10 @@ class CacheStats:
         The CLI renders this one ``key: value`` per line, so
         ``repro codegen-cache --stats`` is diff-stable across runs, Python
         versions and platforms — CI and docs can assert on it verbatim.
-        New tuning-key dimensions (the autotuner's persisted entries) slot
-        into the same alphabetical order rather than appending, so the
-        rendering stays sorted no matter what counters future PRs add.
+        A new counter slots into the same alphabetical order rather than
+        appending, so the rendering stays sorted whatever is added.
         """
         return {
-            "autotune_bytes": self.autotune_bytes,
-            "autotune_entries": self.autotune_entries,
             "compile_retries": self.compile_retries,
             "corruptions_healed": self.corruptions_healed,
             "entries": self.entries,
@@ -391,8 +386,6 @@ def cache_stats() -> CacheStats:
     """Hit/miss/heal/evict counters plus the on-disk entry count and size."""
     entries = 0
     size = 0
-    tune_entries = 0
-    tune_size = 0
     directory = cache_dir()
     if directory.is_dir():
         for entry in directory.glob("*.so"):
@@ -401,14 +394,6 @@ def cache_stats() -> CacheStats:
                 entries += 1
             except OSError:  # pragma: no cover - raced deletion
                 pass
-        tune_dir = directory / "autotune"
-        if tune_dir.is_dir():
-            for entry in tune_dir.glob("*.json"):
-                try:
-                    tune_size += entry.stat().st_size
-                    tune_entries += 1
-                except OSError:  # pragma: no cover - raced deletion
-                    pass
     return CacheStats(
         hits=_hits,
         misses=_misses,
@@ -418,8 +403,6 @@ def cache_stats() -> CacheStats:
         lru_evictions=_lru_evictions,
         compile_retries=_compile_retries,
         max_bytes=max(0, _env_int(_ENV_MAX_BYTES, 0)),
-        autotune_entries=tune_entries,
-        autotune_bytes=tune_size,
     )
 
 

@@ -120,7 +120,7 @@ class ServeConfig:
     native_tile / native_threads:
         Native-backend tuning knobs forwarded to every executor (``None``
         defers to the ``REPRO_NATIVE_TILE`` / ``REPRO_NATIVE_THREADS``
-        environment, then the persisted autotuner choice).
+        environment, then the library default tile and one thread).
         ``native_threads`` also feeds the adaptive policy's
         effective-lane speedup (:meth:`lane_speedup`), so batch targets
         price the threaded kernels they will actually run on.

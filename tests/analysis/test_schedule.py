@@ -2,7 +2,7 @@
 
 The mutation suite (``test_schedule_mutations.py``) shows seeded bugs are
 caught; this file shows the complement — every schedule the backend
-actually emits, across the registry, the default autotune grid, all three
+actually emits, across the registry, the default tile grid, all three
 arrangements, chunked programs, forwarded loads and float dtypes, is
 certified trace-preserving, race-free and forwarding-sound, and the span cross-check agrees with the analytic
 closed form.
@@ -148,10 +148,7 @@ class TestSpanCrossCheck:
 
 
 class TestFamilyAndGrid:
-    def test_default_grid_matches_the_autotuner_tiles(self):
-        from repro.bulk.autotune import _DEFAULT_TILES
-
-        assert DEFAULT_TILE_GRID == _DEFAULT_TILES
+    def test_default_grid_crosses_tiles_and_threads(self):
         grid = default_schedule_grid()
         assert len(grid) == len(DEFAULT_TILE_GRID) * 2
 

@@ -11,12 +11,10 @@ changes above the kernel:
 * ``load``/``execute``/``outputs``/``memory_view`` keep their contracts
   (the column ``memory_view`` is the transposed output image);
 * tiles are slab-sized: an explicit tile (or ``REPRO_NATIVE_TILE``) whose
-  slab exceeds the stack budget raises, the default shrinks to fit, and a
-  persisted tuning from the lane-block era loads as stale.
+  slab exceeds the stack budget raises, and the default shrinks to fit.
 """
 
 import dataclasses
-import json
 import platform
 
 import numpy as np
@@ -26,7 +24,6 @@ from repro.algorithms.registry import get_spec
 from repro.bulk import BulkExecutor, bulk_run
 from repro.bulk import arena
 from repro.bulk.arrangement import make_arrangement
-from repro.bulk.autotune import autotune_native, load_tuning, tuning_path
 from repro.codegen.compile import (
     BULK_DEFAULT_TILE,
     SLAB_BUDGET_BYTES,
@@ -273,36 +270,3 @@ def test_over_budget_tile_raises_instead_of_overflowing_the_stack(monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_TILE", "16")
     with pytest.raises(ExecutionError, match="slab"):
         BulkExecutor(program, 32, backend="auto")
-
-
-@needs_cc
-def test_lane_block_era_tuning_loads_as_stale():
-    program, inputs = _case("prefix-sums", p=32)
-    autotune_native(
-        program, 32, tiles=(4,), threads=(1,), trials=1, inputs=inputs
-    )
-    arrangement = make_arrangement("column", program.memory_words, 32)
-    path = tuning_path(program, arrangement)
-    doc = json.loads(path.read_text())
-    doc.update(version=1, tile=256)  # what the old emission persisted
-    path.write_text(json.dumps(doc))
-    clear_incidents()
-    assert load_tuning(program, arrangement) is None
-    stale = incidents("stale-autotune")
-    assert len(stale) == 1 and "v1" in stale[0].detail
-    ex = BulkExecutor(program, 32, backend="native")
-    try:
-        assert ex.tile == BULK_DEFAULT_TILE  # library default, not 256
-    finally:
-        ex.close()
-
-
-@needs_cc
-def test_autotune_skips_tiles_over_the_slab_budget():
-    program = _wide_program(4000)
-    inputs = np.arange(32, dtype=np.int64).reshape(32, 1)
-    tuning = autotune_native(
-        program, 32, tiles=(4, 8, 16, 32), threads=(1,), trials=1,
-        inputs=inputs, persist=False,
-    )
-    assert sorted(tuning.scores) == ["4x1", "8x1"]

@@ -1,4 +1,4 @@
-"""The tiled/threaded native backend: bit-identity matrix, arena, autotuner.
+"""The tiled/threaded native backend: bit-identity matrix, arena, knobs.
 
 The perf PR's acceptance contract, as tests:
 
@@ -13,13 +13,14 @@ The perf PR's acceptance contract, as tests:
 * **no per-batch churn** — ``run_trimmed`` returns a view of the unpacked
   output block, never a defensive copy, and the pooled arena hands
   aligned buffers across executor lifetimes;
-* **autotuner persistence** — a measured (tile × threads) choice round-
-  trips through its content-addressed JSON file and is picked up by the
-  next executor, and its counters surface in ``cache_stats()`` without
-  breaking the stats dict's deterministic ordering.
+* **knob resolution** — a kernel's tile and threads come from the
+  argument, then ``REPRO_NATIVE_TILE``/``REPRO_NATIVE_THREADS``, then the
+  library default; nothing read from disk overrides them.
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -28,14 +29,13 @@ from repro.algorithms.registry import all_specs, get_spec
 from repro.bulk import BulkExecutor, bulk_run
 from repro.bulk import arena
 from repro.bulk.arrangement import make_arrangement
-from repro.bulk.autotune import (
-    autotune_native,
-    autotune_stats,
-    load_tuning,
-    tuning_path,
+from repro.codegen.cache import cache_dir, cache_stats
+from repro.codegen.compile import (
+    compile_bulk,
+    default_tile,
+    have_compiler,
+    have_openmp,
 )
-from repro.codegen.cache import cache_stats
-from repro.codegen.compile import compile_bulk, have_compiler, have_openmp
 from repro.errors import ExecutionError
 from repro.reliability.incidents import clear_incidents, incidents
 from repro.trace.replay import replay_lanes
@@ -189,6 +189,52 @@ def test_env_knobs_resolve_when_args_absent(monkeypatch):
         assert ex.threads == 1
     finally:
         ex.close()
+    ex = BulkExecutor(program, 16, backend="native", tile=9)  # argument wins
+    try:
+        assert ex.tile == 9
+    finally:
+        ex.close()
+
+
+@needs_cc
+def test_leftover_tuning_file_changes_nothing():
+    """A ``<cache>/autotune/`` entry written by an older version is never
+    read: the executor gets the library default tile and one thread."""
+    p = 32
+    program, inputs = _spec_case(get_spec("prefix-sums"), p)
+    arrangement = make_arrangement("column", program.memory_words, p)
+    # The older version's file name: a content address over the program
+    # text and the geometry, lane count included.
+    parts = [
+        program.name,
+        str(program.dtype),
+        str(program.memory_words),
+        arrangement.name,
+        str(p),
+        str(getattr(arrangement, "stride", 0)),
+    ]
+    parts.extend(str(instr) for instr in program.instructions)
+    fingerprint = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:32]
+    directory = cache_dir() / "autotune"
+    directory.mkdir(parents=True)
+    (directory / f"{fingerprint}.json").write_text(json.dumps({
+        "format": "repro-autotune",
+        "version": 2,
+        "tile": 4,
+        "threads": 1,
+        "seconds": 1e-4,
+        "scores": {"4x1": 1e-4},
+        "fingerprint": fingerprint,
+        "host_cpus": 1,
+    }))
+    assert default_tile(program, arrangement) != 4
+    clear_incidents()
+    mem, ex = _full_memory(program, p, inputs, backend="native")
+    assert ex.backend == "native"
+    assert ex.tile == default_tile(program, arrangement)
+    assert ex.threads == 1
+    assert incidents() == []
+    np.testing.assert_array_equal(mem, replay_lanes(program, inputs).T)
 
 
 def test_invalid_knobs_raise():
@@ -270,221 +316,6 @@ class TestArena:
             second.close()
 
     def test_stats_dict_deterministically_ordered(self):
-        keys = list(arena.arena_stats().as_dict())
-        assert keys == sorted(keys)
-
-
-# -- the autotuner -------------------------------------------------------------
-
-@needs_cc
-class TestAutotune:
-    def test_round_trip_and_executor_pickup(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        tuning = autotune_native(
-            program, 32, tiles=(4, 16), threads=(1,), trials=1,
-            inputs=inputs,
-        )
-        assert tuning.tile in (4, 16)
-        assert tuning.threads == 1
-        assert len(tuning.scores) == 2
-        ex = BulkExecutor(program, 32, backend="native")
-        try:
-            assert (ex.tile, ex.threads) == (tuning.tile, tuning.threads)
-        finally:
-            ex.close()
-        loaded = load_tuning(program, ex.arrangement)
-        assert loaded is not None
-        assert (loaded.tile, loaded.threads) == (tuning.tile, tuning.threads)
-        assert loaded.fingerprint == tuning.fingerprint
-
-    def test_explicit_args_beat_persisted_tuning(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        autotune_native(
-            program, 32, tiles=(4,), threads=(1,), trials=1, inputs=inputs
-        )
-        ex = BulkExecutor(program, 32, backend="native", tile=9)
-        try:
-            assert ex.tile == 9
-        finally:
-            ex.close()
-
-    def test_torn_file_means_no_tuning(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        autotune_native(
-            program, 32, tiles=(4,), threads=(1,), trials=1, inputs=inputs
-        )
-        ex = BulkExecutor(program, 32, backend="numpy")
-        path = tuning_path(program, ex.arrangement)
-        ex.close()
-        path.write_text("{ torn json")
-        assert load_tuning(program, ex.arrangement) is None
-
-    def test_counters_surface_in_cache_stats_deterministically(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        autotune_native(
-            program, 32, tiles=(4,), threads=(1,), trials=1, inputs=inputs
-        )
-        stats = cache_stats().as_dict()
-        assert stats["autotune_entries"] == 1
-        assert stats["autotune_bytes"] > 0
-        assert list(stats) == sorted(stats)
-        assert autotune_stats()["autotune_entries"] == 1
-
-
-@needs_cc
-class TestScheduleGate:
-    """The autotuner only measures (and persists) certified tile shapes."""
-
-    def test_uncertified_shapes_are_refused_outright(self, monkeypatch):
-        from repro.analysis.lint.rules import diag
-        import repro.analysis.schedule as schedule_mod
-
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-
-        def refuse_all(prog, arrangement, **kwargs):
-            d = diag(
-                "OBL-S702", "seeded: overlapping tile write sets",
-                program=prog.name, index=0,
-            )
-            return [d], [], None
-
-        monkeypatch.setattr(
-            schedule_mod, "certify_native_schedule", refuse_all
-        )
-        clear_incidents()
-        with pytest.raises(ExecutionError, match="schedule certification"):
-            autotune_native(
-                program, 32, tiles=(4, 16), threads=(1,), trials=1,
-                inputs=inputs,
-            )
-        refused = incidents("uncertified-schedule")
-        assert len(refused) == 2  # one per rejected grid point
-        assert any("overlapping tile write sets" in i.detail for i in refused)
-        # Nothing was measured, so nothing was persisted.
-        ex = BulkExecutor(program, 32, backend="numpy")
-        try:
-            assert load_tuning(program, ex.arrangement) is None
-        finally:
-            ex.close()
-
-    def test_partial_refusal_measures_only_certified_points(self, monkeypatch):
-        from repro.analysis.lint.rules import diag
-        import repro.analysis.schedule as schedule_mod
-
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        real = schedule_mod.certify_native_schedule
-
-        def refuse_tile_4(prog, arrangement, *, tile=None, **kwargs):
-            if tile == 4:
-                d = diag(
-                    "OBL-S701", "seeded: tile=4 unproven",
-                    program=prog.name, index=0,
-                )
-                return [d], [], None
-            return real(prog, arrangement, tile=tile, **kwargs)
-
-        monkeypatch.setattr(
-            schedule_mod, "certify_native_schedule", refuse_tile_4
-        )
-        clear_incidents()
-        tuning = autotune_native(
-            program, 32, tiles=(4, 16), threads=(1,), trials=1,
-            inputs=inputs,
-        )
-        assert tuning.tile == 16  # the refused point never competed
-        assert len(tuning.scores) == 1
-        assert len(incidents("uncertified-schedule")) == 1
-
-    def test_certify_false_restores_the_ungated_grid(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        clear_incidents()
-        tuning = autotune_native(
-            program, 32, tiles=(4, 16), threads=(1,), trials=1,
-            inputs=inputs, certify=False,
-        )
-        assert len(tuning.scores) == 2
-        assert incidents("uncertified-schedule") == []
-
-
-@needs_cc
-class TestStaleTuning:
-    """Persisted entries are re-validated on load, not trusted."""
-
-    def _persist(self, program, inputs):
-        autotune_native(
-            program, 32, tiles=(4,), threads=(1,), trials=1, inputs=inputs
-        )
-        ex = BulkExecutor(program, 32, backend="numpy")
-        path = tuning_path(program, ex.arrangement)
-        arrangement = ex.arrangement
-        ex.close()
-        return path, arrangement
-
-    def test_missing_file_is_silent(self):
-        spec = get_spec("prefix-sums")
-        program, _ = _spec_case(spec, 32)
-        ex = BulkExecutor(program, 32, backend="numpy")
-        try:
-            clear_incidents()
-            assert load_tuning(program, ex.arrangement) is None
-            assert incidents("stale-autotune") == []
-        finally:
-            ex.close()
-
-    def test_torn_file_records_a_stale_incident(self):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        path, arrangement = self._persist(program, inputs)
-        path.write_text("{ torn json")
-        clear_incidents()
-        assert load_tuning(program, arrangement) is None
-        stale = incidents("stale-autotune")
-        assert len(stale) == 1
-        assert "does not parse" in stale[0].detail
-
-    def test_nonpositive_shape_is_stale(self):
-        import json as _json
-
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        path, arrangement = self._persist(program, inputs)
-        doc = _json.loads(path.read_text())
-        doc["tile"] = 0
-        path.write_text(_json.dumps(doc))
-        clear_incidents()
-        assert load_tuning(program, arrangement) is None
-        stale = incidents("stale-autotune")
-        assert len(stale) == 1
-        assert "not a positive shape" in stale[0].detail
-
-    def test_env_cap_exceeded_is_stale(self, monkeypatch):
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        path, arrangement = self._persist(program, inputs)
-        assert load_tuning(program, arrangement) is not None
-        monkeypatch.setenv("REPRO_NATIVE_TILE", "2")  # below persisted tile=4
-        clear_incidents()
-        assert load_tuning(program, arrangement) is None
-        stale = incidents("stale-autotune")
-        assert len(stale) == 1
-        assert "REPRO_NATIVE_TILE" in stale[0].detail
-
-    def test_format_mismatch_is_stale(self):
-        import json as _json
-
-        spec = get_spec("prefix-sums")
-        program, inputs = _spec_case(spec, 32)
-        path, arrangement = self._persist(program, inputs)
-        doc = _json.loads(path.read_text())
-        doc["version"] = 999
-        path.write_text(_json.dumps(doc))
-        clear_incidents()
-        assert load_tuning(program, arrangement) is None
-        assert len(incidents("stale-autotune")) == 1
+        for stats in (arena.arena_stats(), cache_stats()):
+            keys = list(stats.as_dict())
+            assert keys == sorted(keys)
